@@ -96,9 +96,11 @@ def criterion_1(seed: int | None = None, corrupt: bool = False) -> CriterionResu
         if abs(float(vals[(2,)]) - want_tr) > 1e-10:
             failures.append(f"Wg({n_dim}, transposition) != -1/(N(N^2-1))")
     if corrupt:
-        # Negative-control hook: poison one cached value so the residual check
+        # Negative-control hook: poison one cached value in the table's own
+        # storage (readers only get read-only views) so the residual check
         # below must fail.
-        table.values(3, 5)[(1, 1, 1)] += Fraction(1, 1000)
+        table.values(3, 5)
+        table._values[(3, 5)][(1, 1, 1)] += Fraction(1, 1000)
     worst = 0.0
     for order in range(1, 6):
         perms = list(permutations(range(order)))

@@ -105,7 +105,10 @@ def load_tuple(path: str) -> MatrixTuple:
         except (TypeError, ValueError, IndexError) as exc:
             raise TupleFormatError(f"{path}: matrix {k}: {exc}") from None
         out.append(arr)
-    return MatrixTuple(out)
+    try:
+        return MatrixTuple(out)
+    except ValueError as exc:
+        raise TupleFormatError(f"{path}: {exc}") from None
 
 
 def load_factors(path: str) -> list[FreenessFactor]:
@@ -297,6 +300,8 @@ def cmd_pairing(
         raise click.UsageError("series files use different alphabet sizes")
     _check_m(m_check, f.m)
     _check_samples(engine, samples)
+    if fmt == "csv" and engine == "both":
+        raise click.UsageError("csv output supports engine=exact or engine=mc only")
     boundary = _boundary_for(space, f.m)
     n_grid = n_grid or (2, 4, 8)
     r_grid = r_grid or (1.0,)
@@ -346,8 +351,6 @@ def cmd_pairing(
         format=fmt,
     )
     if fmt == "csv":
-        if engine == "both":
-            raise click.UsageError("csv output supports engine=exact or engine=mc only")
         cells = [
             GridCell(
                 r=row["r"],

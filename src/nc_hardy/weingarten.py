@@ -15,7 +15,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iterproduct
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .words import AlphabetMismatchError, NcSeries, Word
 
@@ -192,14 +193,12 @@ def _solve_fraction_system(A: list[list[Fraction]], rhs: list[Fraction]) -> list
     return [M[i][k] for i in range(k)]
 
 
-def _solve_wg_system(n: int, N: int) -> dict[tuple[int, ...], Fraction]:
-    """Weingarten values by cycle type at order n, dimension N.
+def _class_gram(n: int, N: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The partitions of n and the class-reduced Gram matrix at dimension N.
 
-    Wg is a class function and the Gram operator sigma -> sum_tau N^{#(sigma
-    tau^{-1})} wg(tau) acts on class functions, so the n! x n! inversion
-    collapses to a p(n) x p(n) system: A[mu][lam] = sum_{sigma in class lam}
-    N^{#(rep_mu sigma^{-1})}, solved exactly against the indicator of the
-    identity class.
+    A[mu][lam] = sum_{sigma in class lam} N^{#(rep_mu sigma^{-1})}: the Gram
+    operator pi -> sum_sigma N^{#(pi sigma^{-1})} f(sigma) restricted to class
+    functions f, evaluated at the representative of class mu.
     """
     parts = partitions(n)
     index = {pt: i for i, pt in enumerate(parts)}
@@ -212,17 +211,45 @@ def _solve_wg_system(n: int, N: int) -> dict[tuple[int, ...], Fraction]:
         for mu, rep in enumerate(reps):
             comp = tuple(rep[sinv[i]] for i in range(n))
             A[mu][lam] += N ** len(_cycle_type0(comp))
+    return parts, A
+
+
+def _solve_wg_system(n: int, N: int) -> dict[tuple[int, ...], Fraction]:
+    """Weingarten values by cycle type at order n, dimension N.
+
+    Wg is a class function and the Gram operator acts on class functions, so
+    the n! x n! inversion collapses to the p(n) x p(n) system of _class_gram,
+    solved exactly against the indicator of the identity class.
+    """
+    parts, A = _class_gram(n, N)
     frac_a = [[Fraction(x) for x in row] for row in A]
     rhs = [Fraction(1) if pt == (1,) * n else Fraction(0) for pt in parts]
     sol = _solve_fraction_system(frac_a, rhs)
-    return {parts[i]: sol[i] for i in range(k)}
+    return {parts[i]: sol[i] for i in range(len(parts))}
+
+
+def _solve_free_sums(
+    n: int, N: int, wg: Mapping[tuple[int, ...], Fraction]
+) -> dict[tuple[int, ...], Fraction]:
+    """K(y) = sum_{pi in S_n} wg(pi) N^{#(y pi)} for each cycle type of y.
+
+    The sum runs over sigma = pi^{-1}, whose class equals that of pi, so it is
+    the class Gram matrix at N applied to the Weingarten vector wg.
+    """
+    parts, A = _class_gram(n, N)
+    return {
+        parts[mu]: sum((count * wg[lam] for count, lam in zip(A[mu], parts)), Fraction(0))
+        for mu in range(len(parts))
+    }
 
 
 class WeingartenTable:
-    """Shared cache of exact Weingarten values keyed by (n, N) and cycle type.
+    """Shared cache of exact Weingarten values keyed by (n, N) and cycle type,
+    and of the free-permutation sums built from them.
 
     Single writer, concurrent readers: inserts happen under a lock, lookups are
-    plain dict reads on fully built per-(n, N) sub-tables.
+    plain dict reads on fully built per-key sub-tables.  Readers get read-only
+    views, so no caller can alter a cached value.
     """
 
     def __init__(self, max_n: int = 6) -> None:
@@ -230,9 +257,10 @@ class WeingartenTable:
             raise ValueError("max_n must be >= 1")
         self.max_n = max_n
         self._values: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+        self._free_sums: dict[tuple[int, int, int], dict[tuple[int, ...], Fraction]] = {}
         self._lock = threading.Lock()
 
-    def values(self, n: int, N: int) -> dict[tuple[int, ...], Fraction]:
+    def values(self, n: int, N: int) -> Mapping[tuple[int, ...], Fraction]:
         """All Wg(N, .) of order n, keyed by cycle type."""
         if not 1 <= n <= self.max_n:
             raise MultiplicityLimitError(
@@ -249,7 +277,27 @@ class WeingartenTable:
             with self._lock:
                 self._values.setdefault(key, computed)
             got = self._values[key]
-        return got
+        return MappingProxyType(got)
+
+    def free_sums(self, n: int, M: int, N: int) -> Mapping[tuple[int, ...], Fraction]:
+        """K(y) = sum_{pi in S_n} Wg(M, pi) N^{#(y pi)}, keyed by the cycle type of y.
+
+        K is a class function of y.  It closes the sum over a permutation that
+        no letter constrains: a free permutation pi composed with a fixed y
+        contributes N per cycle of y pi.  For M = N it is the indicator of the
+        identity class, by the defining Gram relation of Wg.
+        """
+        if N < 1:
+            raise ValueError("N must be >= 1")
+        wg = self.values(n, M)
+        key = (n, M, N)
+        got = self._free_sums.get(key)
+        if got is None:
+            computed = _solve_free_sums(n, N, wg)
+            with self._lock:
+                self._free_sums.setdefault(key, computed)
+            got = self._free_sums[key]
+        return MappingProxyType(got)
 
     def wg(self, n: int, N: int, cycle_type: tuple[int, ...]) -> Fraction:
         ct = tuple(sorted(cycle_type, reverse=True))
@@ -372,28 +420,6 @@ class BoundaryKind:
         return cls("ball_row", m)
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def class_count(self) -> int:
-        return len({self.find(x) for x in range(len(self.parent))})
-
-
 def _check_letters(w: Word, v: Word, m: int) -> None:
     bad = max(w.max_letter(), v.max_letter())
     if bad > m:
@@ -414,15 +440,23 @@ def pairing_moment_exact(
     l_{-|v|} = l_{|w|}).  Haar expectation is resolved by the entry-moment
     formula: for each independent unitary a pair of permutations (sigma for
     rows, tau for columns) is summed over, weighted by Wg(tau sigma^{-1}).
-    Every delta constraint merges two chain indices; a merged class ranges
-    freely over one block of size N and contributes a factor N.
+    Each pair adds one delta edge per row and per column between chain
+    indices.  Every index carries exactly two constraints, so the edges form
+    a union of cycles; each cycle is one free index ranging over a block of
+    size N and contributes a factor N.
 
-    Polydisc: the m coordinates are independent, so the sum factorizes over
-    letters, with per-letter order n_r = multiplicity of the letter (requires
-    N >= max n_r).  Ball: all entries come from a single unitary of size mN,
-    and the block offsets force the row (column ball) or column (row ball)
-    matching to respect letters; inconsistent offsets kill the term (requires
-    mN >= |w|).
+    Polydisc: the m coordinates are independent, so the letters are
+    contracted one at a time (Collins-Sniady), with per-letter order n_r =
+    multiplicity of the letter (requires N >= max n_r).  The state after each
+    letter is the set of paths joining still-open chain indices; pairs that
+    leave the same paths merge their weights, and each closed cycle
+    multiplies by N.  Ball: all entries come from a single unitary of size
+    mN, and the block offsets force the row (column ball) or column (row
+    ball) matching to respect letters; inconsistent offsets kill the term
+    (requires mN >= |w|).  For the last polydisc letter and for the ball, the
+    permutation that no letter constrains is summed in closed form through
+    the cached class function WeingartenTable.free_sums, so only the
+    letter-constrained one is enumerated.
 
     Unbalanced letter counts yield an exact rational zero with no Weingarten
     work at all.
@@ -442,6 +476,69 @@ def pairing_moment_exact(
     )
 
 
+def _join(ends: list[int], a: int, b: int) -> int:
+    """Add the delta edge a - b to a disjoint union of paths; 1 if it closes a cycle.
+
+    Every chain index carries at most two delta constraints, so the merge
+    graph is a union of paths and cycles.  ends[i] is the far end of the path
+    that ends at index i (i itself while no edge touches i), and -1 once i
+    carries two edges.
+    """
+    x = ends[a]
+    if x == b:
+        ends[a] = ends[b] = -1
+        return 1
+    y = ends[b]
+    ends[a] = ends[b] = -1
+    ends[x] = y
+    ends[y] = x
+    return 0
+
+
+def _add_edges(
+    state: Sequence[int], edges: Iterable[tuple[int, int]]
+) -> tuple[list[int], int]:
+    """A copy of the path structure state with edges added, and the cycles they close."""
+    ends = list(state)
+    closed = 0
+    for a, b in edges:
+        closed += _join(ends, a, b)
+    return ends, closed
+
+
+def _close_free_letter(
+    states: dict[tuple[int, ...], Fraction],
+    fixed: list[tuple[tuple[int, ...], list[tuple[int, int]]]],
+    v_ends: list[int],
+    w_ends: list[int],
+    K: Mapping[tuple[int, ...], Fraction],
+    N: int,
+) -> Fraction:
+    """Sum out the last pair of permutations, one of them in closed form.
+
+    Each entry of fixed is a permutation a (v-side slot k -> w-side slot a[k])
+    with its delta edges.  Once they are added, the remaining chain indices
+    are the endpoints v_ends / w_ends of the free permutation's edges, and each
+    path left joins w-side endpoint j to v-side endpoint x_a(j).  A free
+    permutation f then closes #(x_a f) more classes, with weight
+    Wg(f a^{-1}) or Wg(a f^{-1}); substituting f = pi a turns its whole sum
+    into K(ct(a x_a)).
+    """
+    v_index = {vert: k for k, vert in enumerate(v_ends)}
+    total = Fraction(0)
+    for state, weight in states.items():
+        counts: Counter[tuple[int, tuple[int, ...]]] = Counter()
+        for a, edges in fixed:
+            ends, closed = _add_edges(state, edges)
+            y = [a[v_index[ends[vert]]] for vert in w_ends]
+            counts[closed, _cycle_type0(y)] += 1
+        total += weight * sum(
+            (count * N ** closed * K[ct] for (closed, ct), count in counts.items()),
+            Fraction(0),
+        )
+    return total
+
+
 def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fraction:
     wl, vl = w.letters, v.letters
     if Counter(wl) != Counter(vl):
@@ -449,10 +546,9 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
     s, t = len(vl), len(wl)
     if t == 0:
         return Fraction(N)
-    nvars = s + t + 1
     var = lambda o: o + s  # chain offset o in [-s, t]
 
-    options = []
+    letters = []
     for letter in sorted(set(wl)):
         v_pos = [k + 1 for k, x in enumerate(vl) if x == letter]
         w_pos = [k + 1 for k, x in enumerate(wl) if x == letter]
@@ -461,29 +557,47 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
             raise MultiplicityLimitError(
                 f"letter {letter} has multiplicity {nr} > max_n = {table.max_n}"
             )
-        wg = table.values(nr, N)
-        opts = []
-        for sig in permutations(range(nr)):
-            rows = [(var(-v_pos[a] + 1), var(w_pos[sig[a]] - 1)) for a in range(nr)]
-            for tau in permutations(range(nr)):
-                pi = [0] * nr
-                for a in range(nr):
-                    pi[sig[a]] = tau[a]
-                cols = [(var(-v_pos[a]), var(w_pos[tau[a]])) for a in range(nr)]
-                opts.append((wg[_cycle_type0(pi)], rows + cols))
-        options.append(opts)
+        letters.append((nr, table.values(nr, N), v_pos, w_pos))
+    # The last letter is summed out in closed form, so the deepest goes last.
+    letters.sort(key=lambda item: item[0])
 
-    total = Fraction(0)
-    for combo in iterproduct(*options):
-        uf = _UnionFind(nvars)
-        uf.union(var(-s), var(t))
-        weight = Fraction(1)
-        for wgt, merges in combo:
-            weight *= wgt
-            for a, b in merges:
-                uf.union(a, b)
-        total += weight * N ** uf.class_count()
-    return total
+    def row_edges(sig, v_pos, w_pos):
+        return [(var(-v_pos[a] + 1), var(w_pos[sig[a]] - 1)) for a in range(len(sig))]
+
+    ends = list(range(s + t + 1))
+    _join(ends, var(-s), var(t))
+    states = {tuple(ends): Fraction(1)}
+    powers = [N ** c for c in range(s + t + 2)]
+    for nr, wg, v_pos, w_pos in letters[:-1]:
+        perms = list(permutations(range(nr)))
+        cols = [
+            (tau, [(var(-v_pos[a]), var(w_pos[tau[a]])) for a in range(nr)])
+            for tau in perms
+        ]
+        merged: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+        for state, weight in states.items():
+            for sig in perms:
+                after_rows, closed_rows = _add_edges(state, row_edges(sig, v_pos, w_pos))
+                for tau, edges in cols:
+                    ends, closed = _add_edges(after_rows, edges)
+                    pi = [0] * nr
+                    for a in range(nr):
+                        pi[sig[a]] = tau[a]
+                    merged[tuple(ends)] += (
+                        weight * wg[_cycle_type0(pi)] * powers[closed_rows + closed]
+                    )
+        states = merged
+
+    nr, _, v_pos, w_pos = letters[-1]
+    fixed = [(sig, row_edges(sig, v_pos, w_pos)) for sig in permutations(range(nr))]
+    return _close_free_letter(
+        states,
+        fixed,
+        [var(-p) for p in v_pos],
+        [var(p) for p in w_pos],
+        table.free_sums(nr, N, N),
+        N,
+    )
 
 
 def _pairing_ball(
@@ -503,33 +617,26 @@ def _pairing_ball(
         raise GramSingularityError(
             f"ball pairing needs mN >= |w| (got mN = {m * N}, |w| = {n})"
         )
-    wg = table.values(n, m * N)
-    s = n
-    nvars = 2 * n + 1
-    var = lambda o: o + s
+    var = lambda o: o + n
 
+    # Row deltas join v-side l_{-k} to w-side l_j, column deltas join
+    # l_{-(k+1)} to l_{j+1}.  The block offsets constrain the rows of the
+    # column ball and the columns of the row ball to match letters.
+    row_v, row_w = [var(-k) for k in range(n)], [var(j) for j in range(n)]
+    col_v, col_w = [var(-(k + 1)) for k in range(n)], [var(j + 1) for j in range(n)]
     if rows_blocked:
-        sig_set = _value_matching_bijections(vl, wl)
-        tau_set = list(permutations(range(n)))
+        (fix_v, fix_w), (free_v, free_w) = (row_v, row_w), (col_v, col_w)
     else:
-        sig_set = list(permutations(range(n)))
-        tau_set = _value_matching_bijections(vl, wl)
-
-    total = Fraction(0)
-    for sig in sig_set:
-        rows = [(var(-k), var(sig[k])) for k in range(n)]
-        for tau in tau_set:
-            pi = [0] * n
-            for k in range(n):
-                pi[sig[k]] = tau[k]
-            uf = _UnionFind(nvars)
-            uf.union(var(-s), var(n))
-            for a, b in rows:
-                uf.union(a, b)
-            for k in range(n):
-                uf.union(var(-(k + 1)), var(tau[k] + 1))
-            total += wg[_cycle_type0(pi)] * N ** uf.class_count()
-    return total
+        (fix_v, fix_w), (free_v, free_w) = (col_v, col_w), (row_v, row_w)
+    fixed = [
+        (a, [(fix_v[k], fix_w[a[k]]) for k in range(n)])
+        for a in _value_matching_bijections(vl, wl)
+    ]
+    ends = list(range(2 * n + 1))
+    _join(ends, var(-n), var(n))
+    return _close_free_letter(
+        {tuple(ends): Fraction(1)}, fixed, free_v, free_w, table.free_sums(n, m * N, N), N
+    )
 
 
 def sesquilinear_moment_exact(

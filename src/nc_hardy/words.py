@@ -228,6 +228,8 @@ class NcSeries:
                 im = float(term.get("im", 0.0))
             except (TypeError, KeyError, ValueError) as exc:
                 raise SeriesFormatError(f"term {idx}: {exc}") from None
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise SeriesFormatError(f"term {idx}: coefficient is not finite")
             if word.max_letter() > m:
                 raise SeriesFormatError(f"term {idx}: letter out of range for m = {m}")
             if word in coeffs:
@@ -239,8 +241,8 @@ class NcSeries:
 class MatrixTuple:
     """A point of matrix space: m complex n-by-n matrices sharing one dimension n.
 
-    Component arrays are stored read-only.  n = 0 is allowed and acts as the
-    neutral element of the direct sum.
+    Component arrays are stored read-only and their entries must be finite.
+    n = 0 is allowed and acts as the neutral element of the direct sum.
     """
 
     __slots__ = ("_entries",)
@@ -260,6 +262,8 @@ class MatrixTuple:
                 n = arr.shape[0]
             elif arr.shape[0] != n:
                 raise ValueError("all components must share one dimension")
+            if not np.isfinite(arr).all():
+                raise ValueError("matrix entries must be finite")
             arr.setflags(write=False)
             entries.append(arr)
         self._entries = tuple(entries)

@@ -2,7 +2,7 @@
 
 The brute pairing oracle assembles boundary integrals from explicit index
 chains and raw entry moments, a different route than the production
-class-merging integrator; agreement between the two is a real cross-check.
+letter-at-a-time contraction; agreement between the two is a real cross-check.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -138,6 +139,13 @@ class TestPairingCommand:
         assert res.returncode == 1
         assert "term 1" in res.stderr
 
+    def test_non_finite_coefficient_rejected(self, tmp_path, crossterm_file):
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"m": 2, "terms": [{"word": [1], "re": float("nan")}]}))
+        res = run_cli("pairing", str(bad), crossterm_file)
+        assert res.returncode == 1
+        assert "term 0" in res.stderr
+
     def test_m_mismatch_rejected(self, crossterm_file):
         res = run_cli("pairing", crossterm_file, crossterm_file, "--m", "3")
         assert res.returncode == 1
@@ -186,6 +194,12 @@ class TestUpsilonCommand:
         path = write_tuple(tmp_path, "one.json", [np.array([[1.0]]), np.array([[0.0]])])
         data = json.loads(run_cli("upsilon", path).stdout)
         assert data["status"] == "diverged"
+
+    def test_non_finite_entry_rejected(self, tmp_path):
+        path = write_tuple(tmp_path, "inf.json", [np.array([[np.inf]]), np.zeros((1, 1))])
+        res = run_cli("upsilon", path)
+        assert res.returncode == 1
+        assert "finite" in res.stderr
 
 
 class TestKernelCommand:
@@ -258,7 +272,12 @@ class TestSelftestCommand:
     def test_seed_override_leaves_exact_criteria_unchanged(self):
         out1 = run_cli("selftest", "--only", "3", "--only", "7").stdout
         out2 = run_cli("selftest", "--only", "3", "--only", "7", "--seed", "555").stdout
-        strip = lambda text: [line for line in text.splitlines() if "seed" not in line]
+        # Elapsed times such as "(  0.01s)" vary from run to run; status, name
+        # and details must not.
+        elapsed = re.compile(r"\(\s*\d+\.\d+s\)")
+        strip = lambda text: [
+            elapsed.sub("(elapsed)", line) for line in text.splitlines() if "seed" not in line
+        ]
         assert strip(out1) == strip(out2)
         assert out1 != out2
 

@@ -3,10 +3,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_words, brute_pairing
 from nc_hardy import (
     AlphabetMismatchError,
+    DEFAULT_TABLE,
     BoundaryKind,
     GramSingularityError,
     MultiplicityLimitError,
@@ -21,6 +23,23 @@ from nc_hardy import (
     weingarten,
 )
 from nc_hardy.weingarten import _cycle_type0, _invert0
+
+# Pairings computed by the engine that enumerated every (sigma, tau) pair per
+# letter and merged chain indices with a union-find, before it was replaced by
+# letter-at-a-time contraction: (family, m, w, v, N, value).
+GOLDEN_PAIRINGS = [
+    ("polydisc", 2, (1, 2, 2, 1, 1, 2, 1, 2), (1, 1, 2, 2, 2, 1, 2, 1), 7, Fraction(-41, 7560)),
+    ("ball_column", 2, (1,) * 6, (1,) * 6, 3, Fraction(47, 385)),
+    ("ball_row", 2, (1,) * 6, (1,) * 6, 3, Fraction(47, 385)),
+    ("polydisc", 2, (1, 2, 1, 1, 2, 2), (2, 1, 2, 1, 1, 2), 5, Fraction(11, 60)),
+    ("polydisc", 2, (1, 1, 2, 1, 2, 1), (2, 1, 1, 1, 2, 1), 6, Fraction(1, 3)),
+    ("polydisc", 2, (1, 2, 1, 1, 2, 1, 2), (2, 1, 1, 2, 1, 2, 1), 4, Fraction(13, 60)),
+    ("polydisc", 3, (1, 2, 3, 1, 2, 3), (3, 1, 2, 2, 1, 3), 4, Fraction(1, 4)),
+    ("ball_column", 3, (3, 1, 3, 3, 1), (1, 3, 3, 1, 3), 2, Fraction(19, 7560)),
+    ("ball_row", 3, (1, 2, 3, 2, 1), (1, 1, 2, 3, 2), 2, Fraction(1, 504)),
+    ("ball_column", 2, (1, 1, 2, 1, 2, 2), (2, 1, 2, 1, 2, 1), 3, Fraction(3757, 1940400)),
+    ("ball_row", 2, (1, 1, 2, 1, 2, 2), (2, 1, 2, 1, 2, 1), 3, Fraction(3757, 1940400)),
+]
 
 
 class TestPermutation:
@@ -121,6 +140,33 @@ class TestWeingartenValues:
                     val = table.values(order, n_dim)[ctype]
                     seq.append(abs(float(val)) * n_dim ** (2 * order - len(ctype)))
                 assert abs(seq[-1] / seq[-2] - 1.0) <= 0.05
+
+    def test_values_are_read_only(self):
+        table = WeingartenTable()
+        with pytest.raises(TypeError):
+            table.values(2, 3)[(1, 1)] = Fraction(0)
+        with pytest.raises(TypeError):
+            table.free_sums(2, 4, 2)[(1, 1)] = Fraction(0)
+        assert table.values(2, 3)[(1, 1)] == Fraction(1, 8)
+
+    def test_free_sums_against_permutation_sum(self):
+        # K(y) = sum over all pi of Wg(M, pi) N^{#(y pi)}, summed directly; at
+        # M = N the Gram relation makes it the indicator of the identity class
+        table = WeingartenTable()
+        for order in (1, 2, 3, 4):
+            perms = list(permutations(range(order)))
+            for big, small in ((order, order), (order + 2, order + 2), (2 * order, 2), (5, 1)):
+                wg = table.values(order, big)
+                got = table.free_sums(order, big, small)
+                for y in perms:
+                    want = sum(
+                        wg[_cycle_type0(pi)]
+                        * small ** len(_cycle_type0([y[p] for p in pi]))
+                        for pi in perms
+                    )
+                    assert got[_cycle_type0(y)] == want
+                    if big == small:
+                        assert want == (1 if y == tuple(range(order)) else 0)
 
     def test_singular_regime_rejected(self):
         table = WeingartenTable()
@@ -237,7 +283,9 @@ class TestPairingExact:
     def test_pairing_symmetric_in_word_arguments(self):
         # the integrals are real, so swapping w and v leaves them unchanged
         words = [Word(t) for t in [(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]]
-        for kind in (BoundaryKind.polydisc(2), BoundaryKind.ball_column(2)):
+        for kind in (
+            BoundaryKind.polydisc(2), BoundaryKind.ball_column(2), BoundaryKind.ball_row(2)
+        ):
             for w in words:
                 for v in words:
                     assert pairing_moment_exact(w, v, kind, 3) == pairing_moment_exact(
@@ -263,6 +311,30 @@ class TestPairingExact:
                     for v in words:
                         got = pairing_moment_exact(w, v, family, n_dim)
                         assert got == brute_pairing(w, v, family, n_dim)
+
+    @pytest.mark.parametrize("family, m, w, v, N, want", GOLDEN_PAIRINGS)
+    def test_golden_values(self, family, m, w, v, N, want):
+        kind = BoundaryKind(family, m)
+        assert pairing_moment_exact(Word(w), Word(v), kind, N, WeingartenTable()) == want
+        assert pairing_moment_exact(Word(v), Word(w), kind, N, WeingartenTable()) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_short_words_against_chain_oracle(self, data):
+        family = data.draw(st.sampled_from(["polydisc", "ball_column", "ball_row"]))
+        m = data.draw(st.integers(1, 3))
+        letters = st.lists(st.integers(1, m), max_size=3)
+        w = data.draw(letters)
+        v = data.draw(st.one_of(st.permutations(w), letters))
+        if family == "polydisc":
+            need = max([w.count(x) for x in w] + [v.count(x) for x in v] + [1])
+        else:
+            need = -(-max(len(w), len(v), 1) // m)
+        N = data.draw(st.integers(need, 3))
+        kind = BoundaryKind(family, m)
+        got = pairing_moment_exact(Word(w), Word(v), kind, N, DEFAULT_TABLE)
+        assert got == brute_pairing(Word(w), Word(v), kind, N)
+        assert got == pairing_moment_exact(Word(w), Word(v), kind, N, WeingartenTable())
 
     def test_multiplicity_and_dimension_guards(self):
         kind = BoundaryKind.polydisc(1)
