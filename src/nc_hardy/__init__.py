@@ -14,26 +14,21 @@ from .words import (
     concat,
     NcSeries,
     MatrixTuple,
-    L2pVector,
     word_eval,
     series_eval,
     series_eval_tail_bounded,
     l2p_norm,
     direct_sum,
     similarity,
-    condition_number,
     spectral_theta,
 )
 from .weingarten import (
     ExactEngineError,
     GramSingularityError,
     MultiplicityLimitError,
-    Permutation,
-    cycle_count,
     partitions,
     WeingartenTable,
     DEFAULT_TABLE,
-    weingarten,
     haar_entry_moment,
     BoundaryKind,
     pairing_moment_exact,
@@ -58,6 +53,7 @@ from .haar_mc import (
 from .hardy import (
     SpaceKind,
     GridCell,
+    pairing_grid,
     inner_product,
     radial_pairing,
     RecoveryReport,
@@ -71,8 +67,6 @@ from .hardy import (
     kernel_section_gram,
     ReproduceResult,
     reproduce_check,
-    ProfilesReport,
-    radial_boundary_profiles,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,14 @@ from .weingarten import (
 )
 from .words import MatrixTuple, NcSeries, Word, direct_sum, series_eval, similarity, spectral_theta
 
-__all__ = ["CriterionResult", "CRITERIA", "run_all"]
+__all__ = [
+    "CriterionResult",
+    "CRITERIA",
+    "run_all",
+    "all_words",
+    "random_series",
+    "random_tuple",
+]
 
 MC_SEEDS = {2: 91002, 5: 91005, 10: 91010}
 
@@ -72,7 +79,7 @@ def _finish(
     )
 
 
-def _all_words(m: int, max_len: int) -> list[Word]:
+def all_words(m: int, max_len: int) -> list[Word]:
     out = [Word()]
     level = [()]
     for _ in range(max_len):
@@ -152,7 +159,7 @@ def criterion_3(seed: int | None = None) -> CriterionResult:
     t0 = time.perf_counter()
     failures: list[str] = []
     kind = BoundaryKind.polydisc(2)
-    words = _all_words(2, 3)
+    words = all_words(2, 3)
     checked = 0
     for w, v in iterproduct(words, words):
         if len(w) == len(v):
@@ -252,7 +259,7 @@ def criterion_7(seed: int | None = None) -> CriterionResult:
     t0 = time.perf_counter()
     failures: list[str] = []
     for m in (2, 3):
-        words = _all_words(m, 3)
+        words = all_words(m, 3)
         poly = SpaceKind.polydisc(m)
         ball = SpaceKind.ball(m)
         for wi in words:
@@ -275,7 +282,7 @@ def criterion_7(seed: int | None = None) -> CriterionResult:
     return _finish(7, "orthonormal-monomials", 1.0, t0, failures, "Gram matrices exactly identity")
 
 
-def _random_series(rng: np.random.Generator, m: int, max_degree: int, terms: int) -> NcSeries:
+def random_series(rng: np.random.Generator, m: int, max_degree: int, terms: int) -> NcSeries:
     coeffs: dict[Word, complex] = {}
     for _ in range(terms):
         length = int(rng.integers(0, max_degree + 1))
@@ -284,7 +291,7 @@ def _random_series(rng: np.random.Generator, m: int, max_degree: int, terms: int
     return NcSeries(m, coeffs)
 
 
-def _random_tuple(rng: np.random.Generator, m: int, n: int, scale: float = 1.0) -> MatrixTuple:
+def random_tuple(rng: np.random.Generator, m: int, n: int, scale: float = 1.0) -> MatrixTuple:
     mats = [
         scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
         for _ in range(m)
@@ -299,11 +306,11 @@ def criterion_8(seed: int | None = None) -> CriterionResult:
     rng = np.random.default_rng(91008)
     for trial in range(200):
         m = int(rng.integers(1, 4))
-        f = _random_series(rng, m, 3, 4)
+        f = random_series(rng, m, 3, 4)
         nx = int(rng.integers(1, 5))
         ny = int(rng.integers(1, 5))
-        x = _random_tuple(rng, m, nx)
-        y = _random_tuple(rng, m, ny)
+        x = random_tuple(rng, m, nx)
+        y = random_tuple(rng, m, ny)
         fx = series_eval(f, x)
         fy = series_eval(f, y)
         both = series_eval(f, direct_sum(x, y))
@@ -334,7 +341,7 @@ def criterion_9(seed: int | None = None) -> CriterionResult:
     for trial in range(50):
         p = float(rng.choice([1.0, 2.0]))
         n = int(rng.integers(2, 4))
-        x = _random_tuple(rng, 2, n)
+        x = random_tuple(rng, 2, n)
         theta_now = spectral_theta(x, p)
         target = float(rng.uniform(0.1, 0.8))
         x = x.scale(np.sqrt(target / theta_now))
@@ -349,8 +356,8 @@ def criterion_9(seed: int | None = None) -> CriterionResult:
             failures.append(f"trial {trial}: partial sums not monotone")
     for trial in range(50):
         p = float(rng.choice([1.0, 2.0]))
-        f = _random_series(rng, 2, 3, 4)
-        y = _random_tuple(rng, 2, 2)
+        f = random_series(rng, 2, 3, 4)
+        y = random_tuple(rng, 2, 2)
         y = y.scale(np.sqrt(float(rng.uniform(0.1, 0.8)) / spectral_theta(y, p)))
         e1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         e2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -360,7 +367,7 @@ def criterion_9(seed: int | None = None) -> CriterionResult:
     for trial in range(5):
         tuples = []
         for _ in range(2):
-            x = _random_tuple(rng, 2, 2)
+            x = random_tuple(rng, 2, 2)
             x = x.scale(np.sqrt(float(rng.uniform(0.2, 0.8)) / spectral_theta(x, 1.0)))
             tuples.append(x)
         gram, tail = kernel_section_gram(tuples, 1.0, max_degree=10)

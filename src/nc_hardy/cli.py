@@ -18,10 +18,10 @@ from . import acceptance
 from .haar_mc import (
     FreenessFactor,
     FreenessStructureError,
+    MCEstimate,
     SeededStream,
     default_seed,
     freeness_diagnostic,
-    mc_pairing,
 )
 from .hardy import (
     GridCell,
@@ -30,15 +30,10 @@ from .hardy import (
     coeff_recover,
     inner_product,
     kernel_eval,
+    pairing_grid,
     upsilon_membership,
 )
-from .weingarten import (
-    DEFAULT_TABLE,
-    BoundaryKind,
-    ExactEngineError,
-    haar_entry_moment,
-    sesquilinear_moment_exact,
-)
+from .weingarten import DEFAULT_TABLE, ExactEngineError, haar_entry_moment
 from .words import MatrixTuple, NcSeries, SeriesFormatError, SpectralConditionError, Word
 
 __all__ = ["cli", "main", "entry", "SelfTestFailure", "TupleFormatError"]
@@ -53,14 +48,6 @@ class TupleFormatError(ValueError):
 
 
 _SPACE_CHOICES = ("polydisc", "ball", "ball-row")
-
-
-def _boundary_for(space: str, m: int) -> BoundaryKind:
-    if space == "polydisc":
-        return BoundaryKind.polydisc(m)
-    if space == "ball":
-        return BoundaryKind.ball_column(m)
-    return BoundaryKind.ball_row(m)
 
 
 def _space_for(space: str, m: int) -> SpaceKind:
@@ -302,43 +289,35 @@ def cmd_pairing(
     _check_samples(engine, samples)
     if fmt == "csv" and engine == "both":
         raise click.UsageError("csv output supports engine=exact or engine=mc only")
-    boundary = _boundary_for(space, f.m)
+    boundary = _space_for(space, f.m).boundary(row=space == "ball-row")
     n_grid = n_grid or (2, 4, 8)
     r_grid = r_grid or (1.0,)
     effective_seed = default_seed() if seed is None else seed
-    rows = []
-    deltas = []
-    lane = 0
-    for r in r_grid:
-        for n_dim in n_grid:
-            row: dict = {"r": r, "N": n_dim}
-            exact_val = None
-            if engine in ("exact", "both"):
-                exact_val = sesquilinear_moment_exact(f, g, r, boundary, n_dim)
-                row.update(value_re=exact_val.real, value_im=exact_val.imag, exact=True)
-            if engine in ("mc", "both"):
-                est = mc_pairing(
-                    f, g, r, boundary, n_dim, samples, SeededStream(effective_seed, lane)
-                )
-                lane += 1
-                mc_row = est.to_json_dict()
-                if engine == "mc":
-                    row.update(
-                        value_re=mc_row["re"],
-                        value_im=mc_row["im"],
-                        std_error=mc_row["std_error"],
-                        exact=False,
-                    )
-                else:
-                    row["mc"] = mc_row
-                    delta = est.delta_in_se(exact_val)
-                    row["delta_se"] = delta
-                    deltas.append(delta)
-            rows.append(row)
+    exact = pairing_grid(f, g, boundary, r_grid, n_grid) if engine != "mc" else ()
+    sampled = (
+        pairing_grid(
+            f, g, boundary, r_grid, n_grid, "mc", samples, SeededStream(effective_seed, 0)
+        )
+        if engine != "exact"
+        else ()
+    )
     flags = {}
     if engine == "both":
-        within = sum(1 for d in deltas if d <= 3.0)
-        flags["cross_oracle_within_3se"] = within / len(deltas) >= 0.99
+        rows = []
+        for cell, mc_cell in zip(exact, sampled):
+            est = MCEstimate(mc_cell.value, mc_cell.std_error, samples, effective_seed)
+            rows.append(
+                {
+                    **_cell_dict(cell),
+                    "mc": est.to_json_dict(),
+                    "delta_se": est.delta_in_se(cell.value),
+                }
+            )
+        within = sum(1 for row in rows if row["delta_se"] <= 3.0)
+        flags["cross_oracle_within_3se"] = within / len(rows) >= 0.99
+    else:
+        cells = exact or sampled
+        rows = [_cell_dict(cell) for cell in cells]
     config = _config_echo(
         command="pairing",
         space=space,
@@ -351,16 +330,6 @@ def cmd_pairing(
         format=fmt,
     )
     if fmt == "csv":
-        cells = [
-            GridCell(
-                r=row["r"],
-                N=row["N"],
-                value=complex(row["value_re"], row["value_im"]),
-                std_error=row.get("std_error"),
-                exact=row["exact"],
-            )
-            for row in rows
-        ]
         _emit(_cells_csv(cells, with_std_error=engine == "mc"), out)
     else:
         _emit(_json_text({"config": config, "rows": rows, "flags": flags}), out)

@@ -19,7 +19,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .weingarten import BoundaryKind
-from .words import AlphabetMismatchError, EMPTY_WORD, MatrixTuple, NcSeries, Word
+from .words import (
+    AlphabetMismatchError,
+    MatrixTuple,
+    NcSeries,
+    Word,
+    _fresh_cache,
+    _series_stack,
+)
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -200,6 +207,8 @@ def _mc_estimate(
     integrand: Callable[[np.ndarray], np.ndarray],
     workers: int = 1,
 ) -> MCEstimate:
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
@@ -222,29 +231,6 @@ def _mc_estimate(
         total += part_sum
         total_sq += part_sq
     return MCEstimate.from_sums(total, total_sq, samples, stream.seed)
-
-
-def _word_stack(xs: np.ndarray, w: Word, cache: dict[Word, np.ndarray]) -> np.ndarray:
-    got = cache.get(w)
-    if got is None:
-        prefix = Word(w.letters[:-1])
-        got = _word_stack(xs, prefix, cache) @ xs[:, w.letters[-1] - 1]
-        cache[w] = got
-    return got
-
-
-def _series_stack(
-    f: NcSeries, xs: np.ndarray, r: float, cache: dict[Word, np.ndarray]
-) -> np.ndarray:
-    count, _, n, _ = xs.shape
-    total = np.zeros((count, n, n), dtype=complex)
-    for word, c in f.items():
-        total += (c * r ** len(word)) * _word_stack(xs, word, cache)
-    return total
-
-
-def _fresh_cache(count: int, n: int) -> dict[Word, np.ndarray]:
-    return {EMPTY_WORD: np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))}
 
 
 def _mc_weighted_pairing(

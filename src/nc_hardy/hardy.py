@@ -34,6 +34,7 @@ from .words import (
 __all__ = [
     "SpaceKind",
     "GridCell",
+    "pairing_grid",
     "inner_product",
     "radial_pairing",
     "RecoveryReport",
@@ -47,8 +48,6 @@ __all__ = [
     "kernel_section_gram",
     "ReproduceResult",
     "reproduce_check",
-    "ProfilesReport",
-    "radial_boundary_profiles",
 ]
 
 Engine = Literal["exact", "mc"]
@@ -94,6 +93,43 @@ class GridCell:
     value: complex
     std_error: float | None
     exact: bool
+
+
+def pairing_grid(
+    f: NcSeries,
+    g: NcSeries,
+    boundary: BoundaryKind,
+    r_grid: Sequence[float],
+    N_grid: Sequence[int],
+    engine: Engine = "exact",
+    samples: int = 100_000,
+    stream: SeededStream | None = None,
+    workers: int = 1,
+    table: WeingartenTable | None = None,
+) -> tuple[GridCell, ...]:
+    """Boundary integrals of (1/N) Tr(g(rX)* f(rX)) over an (r, N) grid.
+
+    Cells come in r-major order.  The Monte Carlo engine draws the k-th cell
+    from stream.lane(k), so every cell has its own substream.
+    """
+    if engine not in ("exact", "mc"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine == "mc":
+        stream = stream if stream is not None else default_stream()
+    cells = []
+    for r in r_grid:
+        for n in N_grid:
+            if engine == "exact":
+                value = sesquilinear_moment_exact(f, g, r, boundary, n, table)
+                cells.append(GridCell(r=float(r), N=n, value=value, std_error=None, exact=True))
+            else:
+                est = mc_pairing(
+                    f, g, r, boundary, n, samples, stream.lane(len(cells)), workers
+                )
+                cells.append(
+                    GridCell(r=float(r), N=n, value=est.mean, std_error=est.std_error, exact=False)
+                )
+    return tuple(cells)
 
 
 def _check_pair(f: NcSeries, g: NcSeries, kind: SpaceKind) -> None:
@@ -275,29 +311,14 @@ def boundary_norm_profile(
         raise AlphabetMismatchError("series and space alphabets differ")
     if not r_grid or not N_grid:
         raise ValueError("grids must be nonempty")
-    boundary = kind.boundary()
-    if engine == "mc":
-        stream = stream if stream is not None else default_stream()
-    cells = []
-    lane = 0
-    for r in r_grid:
-        for n in N_grid:
-            if engine == "exact":
-                value = sesquilinear_moment_exact(f, f, r, boundary, n, table)
-                cells.append(GridCell(r=float(r), N=n, value=value, std_error=None, exact=True))
-            elif engine == "mc":
-                est = mc_pairing(f, f, r, boundary, n, samples, stream.lane(lane), workers)
-                cells.append(
-                    GridCell(r=float(r), N=n, value=est.mean, std_error=est.std_error, exact=False)
-                )
-                lane += 1
-            else:
-                raise ValueError(f"unknown engine {engine!r}")
+    cells = pairing_grid(
+        f, f, kind.boundary(), r_grid, N_grid, engine, samples, stream, workers, table
+    )
     s_estimate = max(cell.value.real for cell in cells)
     return NormProfileReport(
         kind=kind,
         engine=engine,
-        cells=tuple(cells),
+        cells=cells,
         s_estimate=s_estimate,
         limit_inner_product=inner_product(f, f, kind),
     )
@@ -489,13 +510,9 @@ def kernel_section_gram(
             tails.append(kv.tail_bound)
             ni, nj = xi.n, xj.n
             # K(X_j, X_i) acts on C^{nj} tensor C^{ni}; reindex to sections.
+            # Row (a, b), column (c, d) takes kmat[d, a, c, b].
             kmat = kv.value.reshape(nj, ni, nj, ni)
-            block = np.empty((ni * ni, nj * nj), dtype=complex)
-            for a in range(ni):
-                for b in range(ni):
-                    for c in range(nj):
-                        for d in range(nj):
-                            block[a * ni + b, c * nj + d] = kmat[d, a, c, b]
+            block = kmat.transpose(1, 3, 2, 0).reshape(ni * ni, nj * nj)
             gram[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = block
     tail = None if any(t is None for t in tails) else max(tails)
     return gram, tail
@@ -537,46 +554,3 @@ def reproduce_check(
         lhs += (p ** (-len(w))) * np.conjugate(section_coeff) * fw
     rhs = complex(np.vdot(e2, series_eval(f, Y) @ e1))
     return ReproduceResult(lhs=complex(lhs), rhs=rhs, residual=abs(complex(lhs) - rhs))
-
-
-@dataclass(frozen=True)
-class ProfilesReport:
-    """Radial boundary profiles over both boundaries with their series predictions."""
-
-    phi_cells: tuple[GridCell, ...]
-    psi_cells: tuple[GridCell, ...]
-    phi_prediction: tuple[tuple[float, float], ...]
-    psi_prediction: tuple[tuple[float, float], ...]
-
-
-def radial_boundary_profiles(
-    f: NcSeries,
-    r_grid: Sequence[float],
-    N_grid: Sequence[int],
-    engine: Engine = "exact",
-    samples: int = 100_000,
-    stream: SeededStream | None = None,
-    workers: int = 1,
-    table: WeingartenTable | None = None,
-) -> ProfilesReport:
-    """Boundary L2 means of f over the polydisc and ball boundaries, alongside
-    the coefficient-series predictions sum_l r^{2l} (weighted) sum_{|w|=l} |f_w|^2."""
-    poly = boundary_norm_profile(
-        f, SpaceKind.polydisc(f.m), r_grid, N_grid, engine, samples, stream, workers, table
-    )
-    ball_stream = stream.lane(len(r_grid) * len(N_grid)) if stream is not None else None
-    ball = boundary_norm_profile(
-        f, SpaceKind.ball(f.m), r_grid, N_grid, engine, samples, ball_stream, workers, table
-    )
-    phi_pred = tuple(
-        (r, val.real) for r, val in radial_pairing(f, f, SpaceKind.polydisc(f.m), r_grid)
-    )
-    psi_pred = tuple(
-        (r, val.real) for r, val in radial_pairing(f, f, SpaceKind.ball(f.m), r_grid)
-    )
-    return ProfilesReport(
-        phi_cells=poly.cells,
-        psi_cells=ball.cells,
-        phi_prediction=phi_pred,
-        psi_prediction=psi_pred,
-    )

@@ -24,12 +24,9 @@ __all__ = [
     "ExactEngineError",
     "GramSingularityError",
     "MultiplicityLimitError",
-    "Permutation",
-    "cycle_count",
     "partitions",
     "WeingartenTable",
     "DEFAULT_TABLE",
-    "weingarten",
     "haar_entry_moment",
     "BoundaryKind",
     "pairing_moment_exact",
@@ -47,83 +44,6 @@ class GramSingularityError(ExactEngineError):
 
 class MultiplicityLimitError(ExactEngineError):
     """Word multiplicities exceed the supported Weingarten order."""
-
-
-class Permutation:
-    """A permutation of {1..n} stored as its tuple of images."""
-
-    __slots__ = ("_images",)
-
-    def __init__(self, images: Iterable[int]) -> None:
-        imgs = tuple(int(i) for i in images)
-        if sorted(imgs) != list(range(1, len(imgs) + 1)):
-            raise ValueError("images must be a bijection of 1..n")
-        self._images = imgs
-
-    @property
-    def images(self) -> tuple[int, ...]:
-        return self._images
-
-    @property
-    def n(self) -> int:
-        return len(self._images)
-
-    def __call__(self, i: int) -> int:
-        return self._images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(self._images[other._images[i] - 1] for i in range(self.n))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self._images):
-            inv[v - 1] = i + 1
-        return Permutation(inv)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            j = start
-            while not seen[j - 1]:
-                seen[j - 1] = True
-                cyc.append(j)
-                j = self._images[j - 1]
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        imgs = list(range(1, n + 1))
-        imgs[i - 1], imgs[j - 1] = imgs[j - 1], imgs[i - 1]
-        return cls(imgs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self._images == other._images
-
-    def __hash__(self) -> int:
-        return hash(self._images)
-
-    def __repr__(self) -> str:
-        return f"Permutation{self._images}"
-
-
-def cycle_count(sigma: Permutation) -> int:
-    """Number of cycles, fixed points included."""
-    return len(sigma.cycles())
 
 
 # 0-based permutation helpers for the hot combinatorial loops.
@@ -307,19 +227,6 @@ class WeingartenTable:
 
 
 DEFAULT_TABLE = WeingartenTable()
-
-
-def weingarten(
-    n: int, N: int, sigma: Permutation, table: WeingartenTable | None = None
-) -> Fraction:
-    """Wg(N, sigma): the (sigma, identity) entry of the inverse Gram matrix over S_n.
-
-    Depends only on the cycle type of sigma; values are exact rationals.
-    """
-    if sigma.n != n:
-        raise ValueError(f"permutation acts on {sigma.n} points, expected {n}")
-    tab = table if table is not None else DEFAULT_TABLE
-    return tab.wg(n, N, sigma.cycle_type())
 
 
 def _value_matching_bijections(

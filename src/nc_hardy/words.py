@@ -7,7 +7,6 @@ Values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import total_ordering
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -23,14 +22,12 @@ __all__ = [
     "concat",
     "NcSeries",
     "MatrixTuple",
-    "L2pVector",
     "word_eval",
     "series_eval",
     "series_eval_tail_bounded",
     "l2p_norm",
     "direct_sum",
     "similarity",
-    "condition_number",
     "spectral_theta",
 ]
 
@@ -293,36 +290,49 @@ class MatrixTuple:
         return f"MatrixTuple(m={self.m}, n={self.n})"
 
 
+# Batched evaluation: xs has shape (count, m, n, n), one matrix tuple per
+# batch entry.  Word products are built prefix by prefix and cached per word,
+# so series sharing prefixes (or two series at the same points) multiply each
+# prefix once.  A MatrixTuple is evaluated as a batch of one.
+
+def _fresh_cache(count: int, n: int) -> dict[Word, np.ndarray]:
+    return {EMPTY_WORD: np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))}
+
+
+def _word_stack(xs: np.ndarray, w: Word, cache: dict[Word, np.ndarray]) -> np.ndarray:
+    got = cache.get(w)
+    if got is None:
+        prefix = Word(w.letters[:-1])
+        got = _word_stack(xs, prefix, cache) @ xs[:, w.letters[-1] - 1]
+        cache[w] = got
+    return got
+
+
+def _series_stack(
+    f: NcSeries, xs: np.ndarray, r: float, cache: dict[Word, np.ndarray]
+) -> np.ndarray:
+    count, _, n, _ = xs.shape
+    total = np.zeros((count, n, n), dtype=complex)
+    for word, c in f.items():
+        total += (c * r ** len(word)) * _word_stack(xs, word, cache)
+    return total
+
+
 def word_eval(X: MatrixTuple, w: Word) -> np.ndarray:
     """Ordered product X_{w_1} ... X_{w_t}; the empty word gives the identity."""
     if w.max_letter() > X.m:
         raise AlphabetMismatchError(
             f"word uses letter {w.max_letter()} but tuple has alphabet size {X.m}"
         )
-    out = np.eye(X.n, dtype=complex)
-    for letter in w:
-        out = out @ X.entries[letter - 1]
-    return out
-
-
-def _cached_word_matrix(X: MatrixTuple, w: Word, cache: dict[Word, np.ndarray]) -> np.ndarray:
-    got = cache.get(w)
-    if got is None:
-        prefix = Word(w.letters[:-1])
-        got = _cached_word_matrix(X, prefix, cache) @ X.entries[w.letters[-1] - 1]
-        cache[w] = got
-    return got
+    # The empty word's identity is a read-only view in the cache; copy it out.
+    return np.array(_word_stack(np.stack(X.entries)[None], w, _fresh_cache(1, X.n))[0])
 
 
 def series_eval(f: NcSeries, X: MatrixTuple, r: float = 1.0) -> np.ndarray:
     """Exact finite sum sum_w f_w (rX)^w for a polynomial series."""
     if f.m != X.m:
         raise AlphabetMismatchError(f"series alphabet {f.m} != tuple alphabet {X.m}")
-    cache: dict[Word, np.ndarray] = {EMPTY_WORD: np.eye(X.n, dtype=complex)}
-    total = np.zeros((X.n, X.n), dtype=complex)
-    for w, c in f.items():
-        total += c * (r ** len(w)) * _cached_word_matrix(X, w, cache)
-    return total
+    return _series_stack(f, np.stack(X.entries)[None], r, _fresh_cache(1, X.n))[0]
 
 
 def l2p_norm(f: NcSeries, p: float) -> float:
@@ -330,19 +340,6 @@ def l2p_norm(f: NcSeries, p: float) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     return math.sqrt(sum(abs(c) ** 2 / p ** len(w) for w, c in f.coeffs.items()))
-
-
-@dataclass(frozen=True)
-class L2pVector:
-    """A word-indexed coefficient family carrying its weighted two-norm."""
-
-    p: float
-    coeffs: Mapping[Word, complex]
-    norm: float
-
-    @classmethod
-    def from_series(cls, f: NcSeries, p: float) -> "L2pVector":
-        return cls(p=p, coeffs=f.coeffs, norm=l2p_norm(f, p))
 
 
 def direct_sum(X: MatrixTuple, Y: MatrixTuple) -> MatrixTuple:
@@ -362,10 +359,6 @@ def direct_sum(X: MatrixTuple, Y: MatrixTuple) -> MatrixTuple:
 _COND_LIMIT = 1e14
 
 
-def condition_number(T: np.ndarray) -> float:
-    return float(np.linalg.cond(np.asarray(T, dtype=complex)))
-
-
 def similarity(X: MatrixTuple, T: np.ndarray) -> MatrixTuple:
     """Conjugate every component by T.
 
@@ -375,7 +368,7 @@ def similarity(X: MatrixTuple, T: np.ndarray) -> MatrixTuple:
     T = np.asarray(T, dtype=complex)
     if T.shape != (X.n, X.n):
         raise ValueError(f"T must be {X.n}x{X.n}, got {T.shape}")
-    cond = condition_number(T)
+    cond = float(np.linalg.cond(T))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise np.linalg.LinAlgError(
             f"similarity matrix is singular to working precision (cond = {cond:.3e})"

@@ -1,4 +1,5 @@
-"""Shared helpers: independent brute-force oracles and random input factories.
+"""Shared helpers: an independent brute-force oracle, plus the random input
+factories of the acceptance battery (re-exported so both draw the same inputs).
 
 The brute pairing oracle assembles boundary integrals from explicit index
 chains and raw entry moments, a different route than the production
@@ -10,18 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iterproduct
 
-import numpy as np
-
-from nc_hardy import BoundaryKind, MatrixTuple, NcSeries, Word, haar_entry_moment
-
-
-def all_words(m: int, max_len: int) -> list[Word]:
-    out = [Word()]
-    level = [()]
-    for _ in range(max_len):
-        level = [tup + (k,) for tup in level for k in range(1, m + 1)]
-        out.extend(Word(tup) for tup in level)
-    return out
+from nc_hardy import BoundaryKind, Word, haar_entry_moment
+from nc_hardy.acceptance import all_words, random_series, random_tuple  # noqa: F401
 
 
 def brute_pairing(w: Word, v: Word, kind: BoundaryKind, N: int) -> Fraction:
@@ -54,20 +45,3 @@ def brute_pairing(w: Word, v: Word, kind: BoundaryKind, N: int) -> Fraction:
             conjs = [(l[k - 1], (wl[k - 1] - 1) * N + l[k]) for k in range(1, t + 1)]
             total += haar_entry_moment(ups, conjs, m * N)
     return total
-
-
-def random_series(rng: np.random.Generator, m: int, max_degree: int, terms: int) -> NcSeries:
-    coeffs: dict[Word, complex] = {}
-    for _ in range(terms):
-        length = int(rng.integers(0, max_degree + 1))
-        word = Word(rng.integers(1, m + 1, size=length).tolist())
-        coeffs[word] = complex(rng.standard_normal(), rng.standard_normal())
-    return NcSeries(m, coeffs)
-
-
-def random_tuple(rng: np.random.Generator, m: int, n: int, scale: float = 1.0) -> MatrixTuple:
-    mats = [
-        scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
-        for _ in range(m)
-    ]
-    return MatrixTuple(mats)

@@ -2,11 +2,14 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from nc_hardy import NcSeries
+from nc_hardy.cli import cli, main
 
 
 def run_cli(*args, **kwargs):
@@ -45,6 +48,51 @@ def write_tuple(tmp_path, name, mats):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_cases() -> dict[str, list[str]]:
+    """Output file name -> CLI arguments.  The outputs were captured before the
+    `pairing` command's own grid loop was replaced by `hardy.pairing_grid`."""
+    f, g = str(GOLDEN / "f.json"), str(GOLDEN / "g.json")
+    grid = ["--N", "2", "--N", "3", "--r", "0.5", "--r", "1.0"]
+    sampled = ["--samples", "2000", "--seed", "7"]
+    cases = {}
+    for space in ("polydisc", "ball", "ball-row"):
+        for engine in ("exact", "mc", "both"):
+            for fmt in ("json", "csv"):
+                if fmt == "csv" and engine == "both":
+                    continue
+                args = ["pairing", f, g, "--space", space, "--engine", engine, "--format", fmt]
+                cases[f"pairing-{space}-{engine}.{fmt}"] = (
+                    args + grid + (sampled if engine != "exact" else [])
+                )
+    for engine in ("exact", "mc"):
+        for fmt in ("json", "csv"):
+            args = ["profile", f, "--space", "ball", "--engine", engine, "--format", fmt]
+            cases[f"profile-ball-{engine}.{fmt}"] = (
+                args + grid + (sampled if engine == "mc" else [])
+            )
+    recover = ["recover", f, "--word", "1,2", "--N", "2", "--N", "3", "--r", "0.9"]
+    cases["recover-polydisc-exact.json"] = recover + ["--richardson"]
+    cases["recover-ball-exact.csv"] = recover + ["--space", "ball", "--format", "csv"]
+    cases["recover-polydisc-mc.json"] = recover + ["--engine", "mc", *sampled, "--richardson"]
+    cases["recover-ball-mc.csv"] = recover + [
+        "--space", "ball", "--engine", "mc", "--format", "csv", *sampled
+    ]
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(name):
+    result = CliRunner().invoke(cli, GOLDEN_CASES[name])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / name).read_bytes()
 
 
 class TestWgCommand:
@@ -149,6 +197,11 @@ class TestPairingCommand:
     def test_m_mismatch_rejected(self, crossterm_file):
         res = run_cli("pairing", crossterm_file, crossterm_file, "--m", "3")
         assert res.returncode == 1
+
+    def test_zero_dimension_is_a_precondition_error(self, crossterm_file):
+        args = ["pairing", crossterm_file, crossterm_file, "--N", "0", "--samples", "100"]
+        for engine in ("exact", "mc"):
+            assert main([*args, "--engine", engine]) == 2
 
 
 class TestInnerCommand:

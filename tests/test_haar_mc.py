@@ -14,6 +14,7 @@ from nc_hardy import (
     freeness_diagnostic,
     haar_entry_moment,
     mc_pairing,
+    mc_recovery_integral,
     pairing_moment_exact,
     sample_boundary,
     sample_haar_unitary,
@@ -187,6 +188,16 @@ class TestMcPairing:
         f = NcSeries(1, {(1,): 1.0})
         with pytest.raises(ValueError):
             mc_pairing(f, f, 1.0, BoundaryKind.polydisc(1), 2, 1, SeededStream(35))
+
+    def test_dimension_floor(self):
+        f = NcSeries(1, {(1,): 1.0})
+        kind = BoundaryKind.polydisc(1)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            mc_pairing(f, f, 1.0, kind, 0, 100, SeededStream(36))
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            mc_recovery_integral(f, Word((1,)), 1.0, kind, 0, 100, SeededStream(36))
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            freeness_diagnostic([FreenessFactor(1, {1: 1.0})], [0], 100, SeededStream(36))
 
 
 class TestMCEstimate:

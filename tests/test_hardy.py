@@ -6,6 +6,7 @@ import pytest
 from conftest import all_words, random_series, random_tuple
 from nc_hardy import (
     AlphabetMismatchError,
+    BoundaryKind,
     MatrixTuple,
     NcSeries,
     SeededStream,
@@ -17,11 +18,14 @@ from nc_hardy import (
     kernel_eval,
     kernel_section_gram,
     l2p_norm,
-    radial_boundary_profiles,
+    mc_pairing,
+    pairing_grid,
     radial_pairing,
     reproduce_check,
+    sesquilinear_moment_exact,
     spectral_theta,
     upsilon_membership,
+    word_eval,
 )
 
 CROSSTERM = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
@@ -134,6 +138,34 @@ class TestCoeffRecover:
     def test_r_validation(self):
         with pytest.raises(ValueError):
             coeff_recover(CROSSTERM, Word((1,)), 1.5, SpaceKind.polydisc(2), [2])
+
+
+class TestPairingGrid:
+    F = NcSeries(2, {(): 0.5, (1,): 1.0 - 0.5j, (1, 2): 1.0, (2, 1): -0.75 + 0.3j})
+    G = NcSeries(2, {(): 1.0, (1, 2): 0.6 - 0.2j, (2, 2): 1.0})
+
+    def test_exact_cells_r_major(self):
+        kind = BoundaryKind.ball_row(2)
+        cells = pairing_grid(self.F, self.G, kind, [0.5, 1.0], [2, 3])
+        assert [(c.r, c.N) for c in cells] == [(0.5, 2), (0.5, 3), (1.0, 2), (1.0, 3)]
+        for cell in cells:
+            assert cell.exact and cell.std_error is None
+            assert cell.value == sesquilinear_moment_exact(self.F, self.G, cell.r, kind, cell.N)
+
+    def test_mc_cell_k_draws_lane_k(self):
+        kind = BoundaryKind.polydisc(2)
+        stream = SeededStream(81, 3)
+        cells = pairing_grid(
+            self.F, self.G, kind, [0.5, 1.0], [2, 3], "mc", samples=500, stream=stream
+        )
+        for k, cell in enumerate(cells):
+            est = mc_pairing(self.F, self.G, cell.r, kind, cell.N, 500, stream.lane(k))
+            assert not cell.exact
+            assert (cell.value, cell.std_error) == (est.mean, est.std_error)
+
+    def test_unknown_engine(self):
+        with pytest.raises(ValueError):
+            pairing_grid(self.F, self.G, BoundaryKind.polydisc(2), [1.0], [2], "bogus")
 
 
 class TestBoundaryNormProfile:
@@ -310,6 +342,33 @@ class TestKernel:
         min_eig = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0])
         assert min_eig >= -2 * tail - 1e-10
 
+    def test_section_gram_entries_match_word_sum(self):
+        # Entry [(i,a,b), (j,c,d)] = sum_w p^{|w|} (Xj^w)_{dc} conj((Xi^w)_{ba}),
+        # summed directly over every word up to the truncation degree.
+        rng = np.random.default_rng(79)
+        p, degree = 0.7, 3
+        tuples = [random_tuple(rng, 2, n) for n in (1, 3, 2)]
+        gram, _ = kernel_section_gram(tuples, p, max_degree=degree)
+        words = all_words(2, degree)
+        want = np.zeros_like(gram)
+        row = 0
+        for xi in tuples:
+            for a in range(xi.n):
+                for b in range(xi.n):
+                    col = 0
+                    for xj in tuples:
+                        for c in range(xj.n):
+                            for d in range(xj.n):
+                                want[row, col] = sum(
+                                    p ** len(w)
+                                    * word_eval(xj, w)[d, c]
+                                    * np.conj(word_eval(xi, w)[b, a])
+                                    for w in words
+                                )
+                                col += 1
+                    row += 1
+        assert np.allclose(gram, want, rtol=1e-12, atol=1e-12)
+
 
 class TestReproduceCheck:
     def test_zero_series(self):
@@ -343,19 +402,21 @@ class TestReproduceCheck:
 
 
 class TestRadialBoundaryProfiles:
+    """Boundary norm profiles over both boundaries against their series predictions."""
+
     def test_single_letter(self):
         f = NcSeries.monomial(2, (1,))
-        report = radial_boundary_profiles(f, [0.5, 1.0], [2, 4])
-        for cell in report.phi_cells:
+        poly, ball = SpaceKind.polydisc(2), SpaceKind.ball(2)
+        for cell in boundary_norm_profile(f, poly, [0.5, 1.0], [2, 4]).cells:
             assert abs(cell.value - cell.r ** 2) < 1e-14
-        for cell in report.psi_cells:
+        for cell in boundary_norm_profile(f, ball, [0.5, 1.0], [2, 4]).cells:
             assert abs(cell.value - cell.r ** 2 / 2) < 1e-14
-        assert dict(report.phi_prediction) == {0.5: 0.25, 1.0: 1.0}
-        assert dict(report.psi_prediction) == {0.5: 0.125, 1.0: 0.5}
+        assert radial_pairing(f, f, poly, [0.5, 1.0]) == ((0.5, 0.25), (1.0, 1.0))
+        assert radial_pairing(f, f, ball, [0.5, 1.0]) == ((0.5, 0.125), (1.0, 0.5))
 
     def test_degree_two_monomial_telescopes(self):
         f = NcSeries.monomial(2, (1, 2))
-        report = radial_boundary_profiles(f, [0.5], [2, 4, 8])
-        for cell in report.phi_cells:
+        poly = SpaceKind.polydisc(2)
+        for cell in boundary_norm_profile(f, poly, [0.5], [2, 4, 8]).cells:
             assert abs(cell.value - 0.5 ** 4) < 1e-14
-        assert report.phi_prediction == ((0.5, 0.5 ** 4),)
+        assert radial_pairing(f, f, poly, [0.5]) == ((0.5, 0.5 ** 4),)

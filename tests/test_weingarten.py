@@ -13,14 +13,11 @@ from nc_hardy import (
     GramSingularityError,
     MultiplicityLimitError,
     NcSeries,
-    Permutation,
     WeingartenTable,
     Word,
-    cycle_count,
     haar_entry_moment,
     pairing_moment_exact,
     sesquilinear_moment_exact,
-    weingarten,
 )
 from nc_hardy.weingarten import _cycle_type0, _invert0
 
@@ -42,36 +39,16 @@ GOLDEN_PAIRINGS = [
 ]
 
 
-class TestPermutation:
-    def test_cycle_count_examples(self):
-        assert cycle_count(Permutation.identity(3)) == 3
-        assert cycle_count(Permutation.transposition(2, 1, 2)) == 1
-        assert cycle_count(Permutation((2, 3, 1))) == 1
-
-    def test_compose_inverse(self):
-        sigma = Permutation((2, 3, 1, 4))
-        assert sigma * sigma.inverse() == Permutation.identity(4)
-        assert (sigma * sigma).cycle_type() == (3, 1)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 2))
-
-
 class TestWeingartenValues:
     def test_order_one(self):
         for n_dim in range(1, 9):
-            assert weingarten(1, n_dim, Permutation.identity(1)) == Fraction(1, n_dim)
+            assert DEFAULT_TABLE.wg(1, n_dim, (1,)) == Fraction(1, n_dim)
 
     def test_order_two_hand_inverted(self):
         # invert [[N^2, N], [N, N^2]] by hand
         for n_dim in range(2, 9):
-            assert weingarten(2, n_dim, Permutation.identity(2)) == Fraction(
-                1, n_dim ** 2 - 1
-            )
-            assert weingarten(2, n_dim, Permutation.transposition(2, 1, 2)) == Fraction(
-                -1, n_dim * (n_dim ** 2 - 1)
-            )
+            assert DEFAULT_TABLE.wg(2, n_dim, (1, 1)) == Fraction(1, n_dim ** 2 - 1)
+            assert DEFAULT_TABLE.wg(2, n_dim, (2,)) == Fraction(-1, n_dim * (n_dim ** 2 - 1))
 
     def test_order_three_closed_forms(self):
         table = WeingartenTable()
@@ -105,11 +82,13 @@ class TestWeingartenValues:
     def test_conjugation_invariance(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            images = rng.permutation(4) + 1
-            sigma = Permutation(images.tolist())
-            pi = Permutation((rng.permutation(4) + 1).tolist())
-            conj = pi * sigma * pi.inverse()
-            assert weingarten(4, 6, sigma) == weingarten(4, 6, conj)
+            sigma = rng.permutation(4).tolist()
+            pi = rng.permutation(4).tolist()
+            pinv = _invert0(pi)
+            conj = [pi[sigma[pinv[k]]] for k in range(4)]
+            assert DEFAULT_TABLE.wg(4, 6, _cycle_type0(sigma)) == DEFAULT_TABLE.wg(
+                4, 6, _cycle_type0(conj)
+            )
 
     def test_defining_relation_residual(self):
         table = WeingartenTable()

@@ -8,7 +8,6 @@ from conftest import random_series, random_tuple
 from nc_hardy import (
     AlphabetMismatchError,
     EMPTY_WORD,
-    L2pVector,
     MatrixTuple,
     NcSeries,
     SeriesFormatError,
@@ -162,6 +161,25 @@ class TestSeriesEval:
         X = MatrixTuple([np.array([[2.0]])])
         assert abs(series_eval(f, X, 0.5)[0, 0] - 1.0) < 1e-15
 
+    def test_matches_unbatched_reference(self):
+        # series_eval runs the batched Monte Carlo evaluator on a batch of one;
+        # it must match a plain left-to-right product loop bit for bit.
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            m = int(rng.integers(1, 4))
+            n = int(rng.integers(0, 9))
+            f = random_series(rng, m, 4, 6)
+            X = random_tuple(rng, m, n)
+            r = float(rng.uniform(0.2, 1.0))
+            want = np.zeros((n, n), dtype=complex)
+            for w, c in f.items():
+                prod = np.eye(n, dtype=complex)
+                for letter in w:
+                    prod = prod @ X.entries[letter - 1]
+                want += c * (r ** len(w)) * prod
+                assert np.array_equal(word_eval(X, w), prod)
+            assert np.array_equal(series_eval(f, X, r), want)
+
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             series_eval(NcSeries(2, {(1,): 1.0}), MatrixTuple([np.eye(2)]), 1.0)
@@ -248,6 +266,7 @@ class TestL2pNorm:
         f = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
         assert l2p_norm(f, 1.0) == math.sqrt(2.0)
         assert l2p_norm(f, 2.0) == math.sqrt(0.5)
+        assert l2p_norm(NcSeries(2, {(1,): 2.0}), 4.0) == 1.0
 
     def test_direct_sum_agreement(self):
         rng = np.random.default_rng(8)
@@ -258,12 +277,6 @@ class TestL2pNorm:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             l2p_norm(NcSeries.zero(1), 0.0)
-
-    def test_l2p_vector(self):
-        f = NcSeries(2, {(1,): 2.0})
-        vec = L2pVector.from_series(f, 4.0)
-        assert vec.norm == 1.0
-        assert vec.coeffs[Word((1,))] == 2.0
 
 
 class TestTailBoundedEval:
