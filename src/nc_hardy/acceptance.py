@@ -29,7 +29,6 @@ from .weingarten import (
     BoundaryKind,
     WeingartenTable,
     _cycle_type0,
-    _invert0,
     pairing_moment_exact,
     sesquilinear_moment_exact,
 )
@@ -111,15 +110,15 @@ def criterion_1(seed: int | None = None, corrupt: bool = False) -> CriterionResu
     worst = 0.0
     for order in range(1, 6):
         perms = list(permutations(range(order)))
+        inverses = [np.argsort(b).tolist() for b in perms]
         ident = tuple(range(order))
         for n_dim in range(order, 13):
             vals = table.values(order, n_dim)
             wg_vec = np.array([float(vals[_cycle_type0(p)]) for p in perms])
             gram = np.empty((len(perms), len(perms)))
             for i, a in enumerate(perms):
-                for j, b in enumerate(perms):
-                    binv = _invert0(b)
-                    comp = tuple(a[binv[k]] for k in range(order))
+                for j, binv in enumerate(inverses):
+                    comp = tuple(a[k] for k in binv)
                     gram[i, j] = float(n_dim) ** len(_cycle_type0(comp))
             unit = np.zeros(len(perms))
             unit[perms.index(ident)] = 1.0

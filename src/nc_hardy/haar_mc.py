@@ -61,7 +61,7 @@ def default_seed() -> int:
     return int(raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeededStream:
     """Deterministic stream identity: (seed, stream_id) fixes every sample drawn."""
 

@@ -1,11 +1,11 @@
 """Exact integration of polynomials in Haar-unitary entries.
 
-Weingarten coefficients are obtained from the Gram system over the symmetric
-group, reduced to conjugacy classes and solved in exact rational arithmetic,
-so every value produced here is an exact Fraction.  On top of that sit the
-entry-moment formula and the boundary trace pairings used by the Hardy-space
-layer: products of independent unitaries (polydisc boundary) and block
-columns/rows of a single larger unitary (ball boundaries).
+Weingarten coefficients are obtained from Collins' character formula, with
+the characters of the symmetric group computed by the Murnaghan-Nakayama
+rule in integers, so every value produced here is an exact Fraction.  On top
+of that sit the entry-moment formula and the boundary trace pairings used by
+the Hardy-space layer: products of independent unitaries (polydisc boundary)
+and block columns/rows of a single larger unitary (ball boundaries).
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iterproduct
+from math import factorial
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .words import AlphabetMismatchError, NcSeries, Word
 
@@ -39,7 +40,12 @@ class ExactEngineError(Exception):
 
 
 class GramSingularityError(ExactEngineError):
-    """Weingarten data requested in the singular regime N < n (unsupported)."""
+    """Weingarten data requested in the regime N < n (unsupported).
+
+    There the Gram matrix of S_n at dimension N is singular, and Wg is its
+    pseudo-inverse: the character sum restricted to partitions with at most N
+    rows.  This table does not compute that regime.
+    """
 
 
 class MultiplicityLimitError(ExactEngineError):
@@ -65,13 +71,6 @@ def _cycle_type0(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lens, reverse=True))
 
 
-def _invert0(perm: Sequence[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v] = i
-    return inv
-
-
 def partitions(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
     """All partitions of n with weakly decreasing parts."""
     if max_part is None:
@@ -85,87 +84,99 @@ def partitions(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
     return out
 
 
-def _class_representative(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
-    n = sum(cycle_type)
-    img = list(range(n))
-    pos = 0
-    for c in cycle_type:
-        for i in range(c):
-            img[pos + i] = pos + (i + 1) % c
-        pos += c
-    return tuple(img)
+def _mn_character(
+    lam: tuple[int, ...], mu: tuple[int, ...], memo: dict[tuple, int]
+) -> int:
+    """chi^lam at cycle type mu by the Murnaghan-Nakayama rule.
 
-
-def _solve_fraction_system(A: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    k = len(A)
-    M = [A[i][:] + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if M[r][col] != 0), None)
-        if piv is None:
-            raise GramSingularityError("class Gram system is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(k):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[i][k] for i in range(k)]
-
-
-def _class_gram(n: int, N: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """The partitions of n and the class-reduced Gram matrix at dimension N.
-
-    A[mu][lam] = sum_{sigma in class lam} N^{#(rep_mu sigma^{-1})}: the Gram
-    operator pi -> sum_sigma N^{#(pi sigma^{-1})} f(sigma) restricted to class
-    functions f, evaluated at the representative of class mu.
+    Removes a border strip of length mu[0] from lam in every possible way,
+    with sign (-1)^(height of the strip), and recurses on mu[1:].  In the
+    decreasing beta-set b_i = lam_i + len(lam) - 1 - i of lam, removing a
+    strip of length k moves one bead b to the empty position b - k >= 0, and
+    the height is the number of beads strictly between them.
     """
+    if not mu:
+        return 1
+    key = (lam, mu)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    k, rest = mu[0], mu[1:]
+    top = len(lam) - 1
+    beta = [row + top - i for i, row in enumerate(lam)]
+    occupied = set(beta)
+    total = 0
+    for b in beta:
+        if b - k < 0 or b - k in occupied:
+            continue
+        height = sum(1 for c in beta if b - k < c < b)
+        moved = sorted((b - k if c == b else c for c in beta), reverse=True)
+        smaller = tuple(x - top + i for i, x in enumerate(moved) if x > top - i)
+        total += (-1) ** height * _mn_character(smaller, rest, memo)
+    memo[key] = total
+    return total
+
+
+def _characters(
+    n: int,
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[tuple[int, ...], int]]]:
+    """The partitions of n and the character table chi[lam][mu] of S_n."""
     parts = partitions(n)
-    index = {pt: i for i, pt in enumerate(parts)}
-    reps = [_class_representative(pt) for pt in parts]
-    k = len(parts)
-    A = [[0] * k for _ in range(k)]
-    for sigma in permutations(range(n)):
-        lam = index[_cycle_type0(sigma)]
-        sinv = _invert0(sigma)
-        for mu, rep in enumerate(reps):
-            comp = tuple(rep[sinv[i]] for i in range(n))
-            A[mu][lam] += N ** len(_cycle_type0(comp))
-    return parts, A
+    memo: dict[tuple, int] = {}
+    return parts, {lam: {mu: _mn_character(lam, mu, memo) for mu in parts} for lam in parts}
 
 
-def _solve_wg_system(n: int, N: int) -> dict[tuple[int, ...], Fraction]:
-    """Weingarten values by cycle type at order n, dimension N.
-
-    Wg is a class function and the Gram operator acts on class functions, so
-    the n! x n! inversion collapses to the p(n) x p(n) system of _class_gram,
-    solved exactly against the indicator of the identity class.
-    """
-    parts, A = _class_gram(n, N)
-    frac_a = [[Fraction(x) for x in row] for row in A]
-    rhs = [Fraction(1) if pt == (1,) * n else Fraction(0) for pt in parts]
-    sol = _solve_fraction_system(frac_a, rhs)
-    return {parts[i]: sol[i] for i in range(len(parts))}
+def _schur_at_ones(lam: tuple[int, ...], N: int) -> Fraction:
+    """s_lam(1^N) = prod over the boxes of lam of (N + content) / hook length."""
+    conj = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+    num = den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= N + j - i
+            den *= (row - j) + (conj[j] - i) - 1
+    return Fraction(num, den)
 
 
-def _solve_free_sums(
-    n: int, N: int, wg: Mapping[tuple[int, ...], Fraction]
+def _character_sums(
+    n: int, weight: Callable[[tuple[int, ...], int], Fraction]
 ) -> dict[tuple[int, ...], Fraction]:
-    """K(y) = sum_{pi in S_n} wg(pi) N^{#(y pi)} for each cycle type of y.
+    """The class function mu -> sum_lam weight(lam, chi^lam(1)) chi^lam(mu)."""
+    parts, chi = _characters(n)
+    ident = (1,) * n
+    w = {lam: weight(lam, chi[lam][ident]) for lam in parts}
+    return {mu: sum((w[lam] * chi[lam][mu] for lam in parts), Fraction(0)) for mu in parts}
 
-    The sum runs over sigma = pi^{-1}, whose class equals that of pi, so it is
-    the class Gram matrix at N applied to the Weingarten vector wg.
+
+def _wg_values(n: int, N: int) -> dict[tuple[int, ...], Fraction]:
+    """Weingarten values by cycle type at order n, dimension N >= n.
+
+    Collins' character formula: Wg(N, mu) = (1/n!^2) sum_lam chi^lam(1)^2
+    chi^lam(mu) / s_lam(1^N).  For N >= n no s_lam(1^N) vanishes.
     """
-    parts, A = _class_gram(n, N)
-    return {
-        parts[mu]: sum((count * wg[lam] for count, lam in zip(A[mu], parts)), Fraction(0))
-        for mu in range(len(parts))
-    }
+    scale = factorial(n) ** 2
+    return _character_sums(n, lambda lam, dim: dim * dim / (scale * _schur_at_ones(lam, N)))
+
+
+def _free_sum_values(n: int, M: int, N: int) -> dict[tuple[int, ...], Fraction]:
+    """K(y) = sum_{pi in S_n} Wg(M, pi) N^{#(y pi)} for each cycle type of y, M >= n.
+
+    Both factors are class functions: Wg(M, .) by Collins' formula, and
+    N^{#(.)} = sum_lam chi^lam s_lam(1^N) by Schur-Weyl duality.  Their
+    convolution is (1/n!) sum_lam chi^lam(1) chi^lam(y) s_lam(1^N) / s_lam(1^M).
+    """
+    scale = factorial(n)
+    return _character_sums(
+        n, lambda lam, dim: dim * _schur_at_ones(lam, N) / (scale * _schur_at_ones(lam, M))
+    )
 
 
 class WeingartenTable:
     """Shared cache of exact Weingarten values keyed by (n, N) and cycle type,
-    and of the free-permutation sums built from them.
+    and of the free-permutation sums of Wg.
+
+    Each entry is a sum over the p(n) partitions lam of n of S_n characters
+    times a ratio of Schur values s_lam(1^N), so no permutation is enumerated.
+    The character table is rebuilt for each entry, not held between them.
 
     Single writer, concurrent readers: inserts happen under a lock, lookups are
     plain dict reads on fully built per-key sub-tables.  Readers get read-only
@@ -188,12 +199,12 @@ class WeingartenTable:
             )
         if N < n:
             raise GramSingularityError(
-                f"need N >= n for an invertible Gram system (got N = {N}, n = {n})"
+                f"Weingarten values need N >= n (got N = {N}, n = {n})"
             )
         key = (n, N)
         got = self._values.get(key)
         if got is None:
-            computed = _solve_wg_system(n, N)
+            computed = _wg_values(n, N)
             with self._lock:
                 self._values.setdefault(key, computed)
             got = self._values[key]
@@ -209,11 +220,11 @@ class WeingartenTable:
         """
         if N < 1:
             raise ValueError("N must be >= 1")
-        wg = self.values(n, M)
+        self.values(n, M)  # raises as Wg(M, .) does outside the supported range
         key = (n, M, N)
         got = self._free_sums.get(key)
         if got is None:
-            computed = _solve_free_sums(n, N, wg)
+            computed = _free_sum_values(n, M, N)
             with self._lock:
                 self._free_sums.setdefault(key, computed)
             got = self._free_sums[key]
@@ -294,7 +305,7 @@ def haar_entry_moment(
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryKind:
     """A distinguished boundary: m independent unitaries (polydisc) or the first
     block column/row of one Haar unitary of size mN (ball)."""

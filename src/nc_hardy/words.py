@@ -421,7 +421,9 @@ def series_eval_tail_bounded(
 
     The source is either a finite NcSeries (its norm is computed) or a callable
     word -> coefficient together with an explicit coeff_norm = ||f||_{2,p}.
-    Enumerates all m^l words per level; intended for small m and max_degree.
+    Enumerates all m^l words per level, up to max_degree for a callable and
+    up to min(max_degree, degree) for an NcSeries, whose coefficients vanish
+    beyond its degree; intended for small m and max_degree.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -438,11 +440,13 @@ def series_eval_tail_bounded(
             raise AlphabetMismatchError("series and tuple alphabets differ")
         norm_val = l2p_norm(source, p)
         coeff_fn: Callable[[Word], complex] = lambda w: source[w]
+        depth = min(max_degree, source.degree())
     else:
         if coeff_norm is None:
             raise ValueError("coeff_norm is required for callable coefficient sources")
         norm_val = float(coeff_norm)
         coeff_fn = source
-    value = _enumerate_partial_sum(coeff_fn, X, max_degree)
+        depth = max_degree
+    value = _enumerate_partial_sum(coeff_fn, X, depth)
     tail = norm_val * theta ** ((max_degree + 1) / 2) / (1.0 - math.sqrt(theta))
     return value, tail

@@ -1,5 +1,9 @@
+import json
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,9 @@ from nc_hardy import (
     pairing_moment_exact,
     sesquilinear_moment_exact,
 )
-from nc_hardy.weingarten import _cycle_type0, _invert0
+from nc_hardy.weingarten import _characters, _cycle_type0, _schur_at_ones
+
+GOLDEN_TABLE = Path(__file__).parent / "golden" / "weingarten_table.json"
 
 # Pairings computed by the engine that enumerated every (sigma, tau) pair per
 # letter and merged chain indices with a union-find, before it was replaced by
@@ -65,13 +71,12 @@ class TestWeingartenValues:
         for order in (2, 3, 4):
             perms = list(permutations(range(order)))
             ident = perms.index(tuple(range(order)))
+            inverses = [np.argsort(b).tolist() for b in perms]
             for n_dim in (order, order + 2, 8):
                 gram = np.empty((len(perms), len(perms)))
                 for i, a in enumerate(perms):
-                    binvs = None
-                    for j, b in enumerate(perms):
-                        binv = _invert0(b)
-                        comp = tuple(a[binv[k]] for k in range(order))
+                    for j, binv in enumerate(inverses):
+                        comp = tuple(a[k] for k in binv)
                         gram[i, j] = float(n_dim) ** len(_cycle_type0(comp))
                 inv_col = np.linalg.solve(gram, np.eye(len(perms))[:, ident])
                 vals = table.values(order, n_dim)
@@ -84,7 +89,7 @@ class TestWeingartenValues:
         for _ in range(10):
             sigma = rng.permutation(4).tolist()
             pi = rng.permutation(4).tolist()
-            pinv = _invert0(pi)
+            pinv = np.argsort(pi)
             conj = [pi[sigma[pinv[k]]] for k in range(4)]
             assert DEFAULT_TABLE.wg(4, 6, _cycle_type0(sigma)) == DEFAULT_TABLE.wg(
                 4, 6, _cycle_type0(conj)
@@ -95,14 +100,14 @@ class TestWeingartenValues:
         for order in (2, 3, 4):
             perms = list(permutations(range(order)))
             ident = perms.index(tuple(range(order)))
+            inverses = [np.argsort(b).tolist() for b in perms]
             for n_dim in (order, order + 3):
                 vals = table.values(order, n_dim)
                 wg_vec = np.array([float(vals[_cycle_type0(p)]) for p in perms])
                 gram = np.empty((len(perms), len(perms)))
                 for i, a in enumerate(perms):
-                    for j, b in enumerate(perms):
-                        binv = _invert0(b)
-                        comp = tuple(a[binv[k]] for k in range(order))
+                    for j, binv in enumerate(inverses):
+                        comp = tuple(a[k] for k in binv)
                         gram[i, j] = float(n_dim) ** len(_cycle_type0(comp))
                 resid = gram @ wg_vec - np.eye(len(perms))[:, ident]
                 assert np.max(np.abs(resid)) <= 1e-10
@@ -147,6 +152,25 @@ class TestWeingartenValues:
                     if big == small:
                         assert want == (1 if y == tuple(range(order)) else 0)
 
+    def test_gram_goldens(self):
+        # values(n, N) for n <= 6, N in [n, 12], and free_sums(n, M, N) for
+        # N <= 6, M in {N, 2N, 3N}, M >= n, as computed by the class-reduced
+        # Gram solve that the character formula replaced.
+        golden = json.loads(GOLDEN_TABLE.read_text())
+
+        def parse(entry):
+            return {
+                tuple(int(x) for x in ct.split(",")): Fraction(value)
+                for ct, value in entry["table"].items()
+            }
+
+        table = WeingartenTable()
+        assert len(golden["values"]) == 57 and len(golden["free_sums"]) == 84
+        for entry in golden["values"]:
+            assert dict(table.values(entry["n"], entry["N"])) == parse(entry)
+        for entry in golden["free_sums"]:
+            assert dict(table.free_sums(entry["n"], entry["M"], entry["N"])) == parse(entry)
+
     def test_singular_regime_rejected(self):
         table = WeingartenTable()
         with pytest.raises(GramSingularityError):
@@ -156,6 +180,55 @@ class TestWeingartenValues:
         table = WeingartenTable(max_n=6)
         with pytest.raises(MultiplicityLimitError):
             table.values(7, 10)
+
+
+def _centralizer_order(mu):
+    return prod(k ** c * factorial(c) for k, c in Counter(mu).items())
+
+
+def _hook_product(lam):
+    conj = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+    return prod(row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+
+
+class TestCharacters:
+    # The Murnaghan-Nakayama table on its own, with no Weingarten value involved.
+
+    def test_row_orthogonality(self):
+        for n in range(1, 8):
+            parts, chi = _characters(n)
+            for lam in parts:
+                for rho in parts:
+                    got = sum(
+                        Fraction(factorial(n), _centralizer_order(mu)) * chi[lam][mu] * chi[rho][mu]
+                        for mu in parts
+                    )
+                    assert got == (factorial(n) if lam == rho else 0)
+
+    def test_column_orthogonality(self):
+        for n in range(1, 8):
+            parts, chi = _characters(n)
+            for mu in parts:
+                for nu in parts:
+                    got = sum(chi[lam][mu] * chi[lam][nu] for lam in parts)
+                    assert got == (_centralizer_order(mu) if mu == nu else 0)
+
+    def test_dimension_is_hook_length_formula(self):
+        for n in range(1, 8):
+            parts, chi = _characters(n)
+            for lam in parts:
+                assert chi[lam][(1,) * n] * _hook_product(lam) == factorial(n)
+
+    def test_schur_weyl_count(self):
+        # (C^N)^{(x) n} = sum_lam S_lam (x) V_lam, with s_lam(1^N) = 0 for
+        # partitions longer than N: at the identity the dimensions add up to
+        # N^n, and a permutation of cycle type mu has trace N^{len(mu)}
+        for n in range(1, 8):
+            parts, chi = _characters(n)
+            for N in range(1, 9):
+                for mu in parts:
+                    got = sum(chi[lam][mu] * _schur_at_ones(lam, N) for lam in parts)
+                    assert got == N ** len(mu)
 
 
 class TestEntryMoments:

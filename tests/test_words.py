@@ -330,6 +330,20 @@ class TestTailBoundedEval:
         direct = series_eval(f, X)
         assert np.linalg.norm(value - direct) <= 1e-13 * max(1.0, np.linalg.norm(direct))
 
+    def test_one_term_series_far_beyond_its_degree(self):
+        # Words longer than the series' degree have zero coefficients, so
+        # the value is series_eval's; the tail still charges degree 14.
+        from nc_hardy import spectral_theta
+
+        rng = np.random.default_rng(11)
+        X = random_tuple(rng, 2, 3)
+        X = X.scale(math.sqrt(0.5 / spectral_theta(X, 1.0)))
+        f = NcSeries(2, {(1, 2, 1): 0.5 - 0.3j})
+        value, tail = series_eval_tail_bounded(f, X, 1.0, 14)
+        assert np.array_equal(value, series_eval(f, X))
+        theta = spectral_theta(X, 1.0)
+        assert tail == l2p_norm(f, 1.0) * theta ** 7.5 / (1.0 - math.sqrt(theta))
+
     def test_spectral_precondition(self):
         X = MatrixTuple([np.eye(2)])
         with pytest.raises(SpectralConditionError):
