@@ -24,7 +24,6 @@ from .words import (
 )
 from .weingarten import (
     ExactEngineError,
-    GramSingularityError,
     MultiplicityLimitError,
     partitions,
     WeingartenTable,

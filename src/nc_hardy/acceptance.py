@@ -92,7 +92,7 @@ def criterion_1(seed: int | None = None, corrupt: bool = False) -> CriterionResu
     defining Gram relation for all orders n <= 5, dimensions N <= 12."""
     t0 = time.perf_counter()
     failures: list[str] = []
-    table = WeingartenTable(max_n=6)
+    table = WeingartenTable()
     for n_dim in range(2, 9):
         vals = table.values(2, n_dim)
         want_id = 1.0 / (n_dim ** 2 - 1)

@@ -129,10 +129,11 @@ def _parse_word(text: str) -> Word:
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise click.BadParameter(f"index pair must look like 'i,j', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        i, j = map(int, text.split(","))
+    except ValueError:
+        raise click.BadParameter(f"index pair must look like 'i,j', got {text!r}") from None
+    return i, j
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -2,10 +2,12 @@
 
 Weingarten coefficients are obtained from Collins' character formula, with
 the characters of the symmetric group computed by the Murnaghan-Nakayama
-rule in integers, so every value produced here is an exact Fraction.  On top
-of that sit the entry-moment formula and the boundary trace pairings used by
-the Hardy-space layer: products of independent unitaries (polydisc boundary)
-and block columns/rows of a single larger unitary (ball boundaries).
+rule in integers, so every value produced here is an exact Fraction.  It is
+defined for every N >= 1: for N < n it is the Gram pseudo-inverse, with which
+the Weingarten formula still holds (Collins-Matsumoto).  On top of that sit
+the entry-moment formula and the boundary trace pairings used by the
+Hardy-space layer: products of independent unitaries (polydisc boundary) and
+block columns/rows of a single larger unitary (ball boundaries).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .words import AlphabetMismatchError, NcSeries, Word
 
 __all__ = [
     "ExactEngineError",
-    "GramSingularityError",
     "MultiplicityLimitError",
     "partitions",
     "WeingartenTable",
@@ -37,15 +38,6 @@ __all__ = [
 
 class ExactEngineError(Exception):
     """Base class for exact-integrator precondition failures."""
-
-
-class GramSingularityError(ExactEngineError):
-    """Weingarten data requested in the regime N < n (unsupported).
-
-    There the Gram matrix of S_n at dimension N is singular, and Wg is its
-    pseudo-inverse: the character sum restricted to partitions with at most N
-    rows.  This table does not compute that regime.
-    """
 
 
 class MultiplicityLimitError(ExactEngineError):
@@ -117,9 +109,10 @@ def _mn_character(
     return total
 
 
-def _characters(
-    n: int,
-) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[tuple[int, ...], int]]]:
+_Characters = tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[tuple[int, ...], int]]]
+
+
+def _characters(n: int) -> _Characters:
     """The partitions of n and the character table chi[lam][mu] of S_n."""
     parts = partitions(n)
     memo: dict[tuple, int] = {}
@@ -127,7 +120,7 @@ def _characters(
 
 
 def _schur_at_ones(lam: tuple[int, ...], N: int) -> Fraction:
-    """s_lam(1^N) = prod over the boxes of lam of (N + content) / hook length."""
+    """s_lam(1^N) = prod over the boxes of (N + content) / hook; 0 iff len(lam) > N."""
     conj = [sum(1 for row in lam if row > j) for j in range(lam[0])]
     num = den = 1
     for i, row in enumerate(lam):
@@ -138,76 +131,92 @@ def _schur_at_ones(lam: tuple[int, ...], N: int) -> Fraction:
 
 
 def _character_sums(
-    n: int, weight: Callable[[tuple[int, ...], int], Fraction]
+    n: int, chars: _Characters, rows: int, weight: Callable[[tuple[int, ...], int], Fraction]
 ) -> dict[tuple[int, ...], Fraction]:
-    """The class function mu -> sum_lam weight(lam, chi^lam(1)) chi^lam(mu)."""
-    parts, chi = _characters(n)
+    """The class function mu -> sum_lam weight(lam, chi^lam(1)) chi^lam(mu), over
+    the partitions lam of n with at most rows rows."""
+    parts, chi = chars
     ident = (1,) * n
-    w = {lam: weight(lam, chi[lam][ident]) for lam in parts}
-    return {mu: sum((w[lam] * chi[lam][mu] for lam in parts), Fraction(0)) for mu in parts}
+    lams = [lam for lam in parts if len(lam) <= rows]
+    w = {lam: weight(lam, chi[lam][ident]) for lam in lams}
+    return {mu: sum((w[lam] * chi[lam][mu] for lam in lams), Fraction(0)) for mu in parts}
 
 
-def _wg_values(n: int, N: int) -> dict[tuple[int, ...], Fraction]:
-    """Weingarten values by cycle type at order n, dimension N >= n.
+def _wg_values(n: int, N: int, chars: _Characters) -> dict[tuple[int, ...], Fraction]:
+    """Weingarten values by cycle type at order n, dimension N >= 1.
 
     Collins' character formula: Wg(N, mu) = (1/n!^2) sum_lam chi^lam(1)^2
-    chi^lam(mu) / s_lam(1^N).  For N >= n no s_lam(1^N) vanishes.
+    chi^lam(mu) / s_lam(1^N), over the lam with s_lam(1^N) != 0.  For N < n
+    that drops the lam with more than N rows and gives the Moore-Penrose
+    pseudo-inverse of the singular Gram matrix (N^{#(a b^-1)}).
     """
     scale = factorial(n) ** 2
-    return _character_sums(n, lambda lam, dim: dim * dim / (scale * _schur_at_ones(lam, N)))
+    weight = lambda lam, dim: dim * dim / (scale * _schur_at_ones(lam, N))
+    return _character_sums(n, chars, N, weight)
 
 
-def _free_sum_values(n: int, M: int, N: int) -> dict[tuple[int, ...], Fraction]:
-    """K(y) = sum_{pi in S_n} Wg(M, pi) N^{#(y pi)} for each cycle type of y, M >= n.
+def _free_sum_values(
+    n: int, M: int, N: int, chars: _Characters
+) -> dict[tuple[int, ...], Fraction]:
+    """K(y) = sum_{pi in S_n} Wg(M, pi) N^{#(y pi)} for each cycle type of y.
 
     Both factors are class functions: Wg(M, .) by Collins' formula, and
     N^{#(.)} = sum_lam chi^lam s_lam(1^N) by Schur-Weyl duality.  Their
-    convolution is (1/n!) sum_lam chi^lam(1) chi^lam(y) s_lam(1^N) / s_lam(1^M).
+    convolution is (1/n!) sum_lam chi^lam(1) chi^lam(y) s_lam(1^N) / s_lam(1^M),
+    over the lam of Wg(M, .).
     """
     scale = factorial(n)
-    return _character_sums(
-        n, lambda lam, dim: dim * _schur_at_ones(lam, N) / (scale * _schur_at_ones(lam, M))
-    )
+    weight = lambda lam, dim: dim * _schur_at_ones(lam, N) / (scale * _schur_at_ones(lam, M))
+    return _character_sums(n, chars, M, weight)
 
 
 class WeingartenTable:
     """Shared cache of exact Weingarten values keyed by (n, N) and cycle type,
-    and of the free-permutation sums of Wg.
+    and of the free-permutation sums of Wg, for every order n <= max_n and
+    every dimension N >= 1.
 
-    Each entry is a sum over the p(n) partitions lam of n of S_n characters
-    times a ratio of Schur values s_lam(1^N), so no permutation is enumerated.
-    The character table is rebuilt for each entry, not held between them.
+    Each entry is a sum over the partitions lam of n of S_n characters times a
+    ratio of Schur values s_lam(1^N), so no permutation is enumerated.  The
+    character table of S_n is built once per order and shared by its entries.
 
     Single writer, concurrent readers: inserts happen under a lock, lookups are
     plain dict reads on fully built per-key sub-tables.  Readers get read-only
     views, so no caller can alter a cached value.
     """
 
-    def __init__(self, max_n: int = 6) -> None:
-        if max_n < 1:
-            raise ValueError("max_n must be >= 1")
-        self.max_n = max_n
+    max_n = 6
+
+    def __init__(self) -> None:
+        self._characters: dict[int, _Characters] = {}
         self._values: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
         self._free_sums: dict[tuple[int, int, int], dict[tuple[int, ...], Fraction]] = {}
         self._lock = threading.Lock()
 
-    def values(self, n: int, N: int) -> Mapping[tuple[int, ...], Fraction]:
-        """All Wg(N, .) of order n, keyed by cycle type."""
+    def _cached(self, store: dict, key: object, build: Callable[[], object]):
+        """store[key], built on a miss and inserted under the lock."""
+        got = store.get(key)
+        if got is None:
+            computed = build()
+            with self._lock:
+                got = store.setdefault(key, computed)
+        return got
+
+    def _character_table(self, n: int, *dims: int) -> _Characters:
+        """The characters of S_n, once the order and the dimensions are checked."""
         if not 1 <= n <= self.max_n:
             raise MultiplicityLimitError(
                 f"order n = {n} outside supported range [1, {self.max_n}]"
             )
-        if N < n:
-            raise GramSingularityError(
-                f"Weingarten values need N >= n (got N = {N}, n = {n})"
-            )
-        key = (n, N)
-        got = self._values.get(key)
+        if min(dims) < 1:
+            raise ValueError(f"dimensions must be >= 1 (got {', '.join(map(str, dims))})")
+        return self._cached(self._characters, n, lambda: _characters(n))
+
+    def values(self, n: int, N: int) -> Mapping[tuple[int, ...], Fraction]:
+        """All Wg(N, .) of order n, keyed by cycle type."""
+        got = self._values.get((n, N))
         if got is None:
-            computed = _wg_values(n, N)
-            with self._lock:
-                self._values.setdefault(key, computed)
-            got = self._values[key]
+            chars = self._character_table(n, N)
+            got = self._cached(self._values, (n, N), lambda: _wg_values(n, N, chars))
         return MappingProxyType(got)
 
     def free_sums(self, n: int, M: int, N: int) -> Mapping[tuple[int, ...], Fraction]:
@@ -215,19 +224,16 @@ class WeingartenTable:
 
         K is a class function of y.  It closes the sum over a permutation that
         no letter constrains: a free permutation pi composed with a fixed y
-        contributes N per cycle of y pi.  For M = N it is the indicator of the
-        identity class, by the defining Gram relation of Wg.
+        contributes N per cycle of y pi.  For M = N >= n it is the indicator of
+        the identity class, by the defining Gram relation of Wg; for N < n it
+        is the projection onto the span of the Gram matrix instead.
         """
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        self.values(n, M)  # raises as Wg(M, .) does outside the supported range
-        key = (n, M, N)
-        got = self._free_sums.get(key)
+        got = self._free_sums.get((n, M, N))
         if got is None:
-            computed = _free_sum_values(n, M, N)
-            with self._lock:
-                self._free_sums.setdefault(key, computed)
-            got = self._free_sums[key]
+            chars = self._character_table(n, M, N)
+            got = self._cached(
+                self._free_sums, (n, M, N), lambda: _free_sum_values(n, M, N, chars)
+            )
         return MappingProxyType(got)
 
     def wg(self, n: int, N: int, cycle_type: tuple[int, ...]) -> Fraction:
@@ -365,16 +371,18 @@ def pairing_moment_exact(
 
     Polydisc: the m coordinates are independent, so the letters are
     contracted one at a time (Collins-Sniady), with per-letter order n_r =
-    multiplicity of the letter (requires N >= max n_r).  The state after each
-    letter is the set of paths joining still-open chain indices; pairs that
-    leave the same paths merge their weights, and each closed cycle
-    multiplies by N.  Ball: all entries come from a single unitary of size
-    mN, and the block offsets force the row (column ball) or column (row
-    ball) matching to respect letters; inconsistent offsets kill the term
-    (requires mN >= |w|).  For the last polydisc letter and for the ball, the
-    permutation that no letter constrains is summed in closed form through
-    the cached class function WeingartenTable.free_sums, so only the
-    letter-constrained one is enumerated.
+    multiplicity of the letter.  The state after each letter is the set of
+    paths joining still-open chain indices; pairs that leave the same paths
+    merge their weights, and each closed cycle multiplies by N.  Column ball:
+    all entries come from a single unitary of size mN, and the block offsets
+    force the row matching to respect letters; inconsistent offsets kill the
+    term.  Row ball: the row blocks of U are the adjoints of the column
+    blocks of the Haar unitary U*, so ball_row(w, v) = ball_column(rev v,
+    rev w).  For the last polydisc letter and for the ball, the permutation
+    that no letter constrains is summed in closed form through the cached
+    class function WeingartenTable.free_sums, so only the letter-constrained
+    one is enumerated.  Every N >= 1 is supported: where N < n_r (or
+    mN < |w|) the Weingarten function is the Gram pseudo-inverse.
 
     Unbalanced letter counts yield an exact rational zero with no Weingarten
     work at all.
@@ -382,16 +390,12 @@ def pairing_moment_exact(
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_letters(w, v, kind.m)
+    tab = table if table is not None else DEFAULT_TABLE
     if kind.family == "polydisc":
-        return _pairing_polydisc(w, v, N, table if table is not None else DEFAULT_TABLE)
-    return _pairing_ball(
-        w,
-        v,
-        kind.m,
-        N,
-        table if table is not None else DEFAULT_TABLE,
-        rows_blocked=kind.family == "ball_column",
-    )
+        return _pairing_polydisc(w, v, N, tab)
+    if kind.family == "ball_row":
+        w, v = Word(v.letters[::-1]), Word(w.letters[::-1])
+    return _pairing_ball(w, v, kind.m, N, tab)
 
 
 def _join(ends: list[int], a: int, b: int) -> int:
@@ -475,7 +479,7 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
             raise MultiplicityLimitError(
                 f"letter {letter} has multiplicity {nr} > max_n = {table.max_n}"
             )
-        letters.append((nr, table.values(nr, N), v_pos, w_pos))
+        letters.append((nr, v_pos, w_pos))
     # The last letter is summed out in closed form, so the deepest goes last.
     letters.sort(key=lambda item: item[0])
 
@@ -486,7 +490,8 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
     _join(ends, var(-s), var(t))
     states = {tuple(ends): Fraction(1)}
     powers = [N ** c for c in range(s + t + 2)]
-    for nr, wg, v_pos, w_pos in letters[:-1]:
+    for nr, v_pos, w_pos in letters[:-1]:
+        wg = table.values(nr, N)
         perms = list(permutations(range(nr)))
         cols = [
             (tau, [(var(-v_pos[a]), var(w_pos[tau[a]])) for a in range(nr)])
@@ -506,7 +511,7 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
                     )
         states = merged
 
-    nr, _, v_pos, w_pos = letters[-1]
+    nr, v_pos, w_pos = letters[-1]
     fixed = [(sig, row_edges(sig, v_pos, w_pos)) for sig in permutations(range(nr))]
     return _close_free_letter(
         states,
@@ -518,9 +523,7 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
     )
 
 
-def _pairing_ball(
-    w: Word, v: Word, m: int, N: int, table: WeingartenTable, rows_blocked: bool
-) -> Fraction:
+def _pairing_ball(w: Word, v: Word, m: int, N: int, table: WeingartenTable) -> Fraction:
     wl, vl = w.letters, v.letters
     if len(wl) != len(vl):
         return Fraction(0)
@@ -529,32 +532,20 @@ def _pairing_ball(
         return Fraction(N)
     if Counter(wl) != Counter(vl):
         return Fraction(0)
-    if n > table.max_n:
-        raise MultiplicityLimitError(f"word length {n} > max_n = {table.max_n}")
-    if m * N < n:
-        raise GramSingularityError(
-            f"ball pairing needs mN >= |w| (got mN = {m * N}, |w| = {n})"
-        )
+    K = table.free_sums(n, m * N, N)
     var = lambda o: o + n
 
-    # Row deltas join v-side l_{-k} to w-side l_j, column deltas join
-    # l_{-(k+1)} to l_{j+1}.  The block offsets constrain the rows of the
-    # column ball and the columns of the row ball to match letters.
-    row_v, row_w = [var(-k) for k in range(n)], [var(j) for j in range(n)]
-    col_v, col_w = [var(-(k + 1)) for k in range(n)], [var(j + 1) for j in range(n)]
-    if rows_blocked:
-        (fix_v, fix_w), (free_v, free_w) = (row_v, row_w), (col_v, col_w)
-    else:
-        (fix_v, fix_w), (free_v, free_w) = (col_v, col_w), (row_v, row_w)
+    # Column ball.  Row deltas join v-side l_{-k} to w-side l_j, column deltas
+    # join l_{-(k+1)} to l_{j+1}.  The block offsets constrain the rows to
+    # match letters; the columns are free.
     fixed = [
-        (a, [(fix_v[k], fix_w[a[k]]) for k in range(n)])
+        (a, [(var(-k), var(a[k])) for k in range(n)])
         for a in _value_matching_bijections(vl, wl)
     ]
+    free_v, free_w = [var(-(k + 1)) for k in range(n)], [var(j + 1) for j in range(n)]
     ends = list(range(2 * n + 1))
     _join(ends, var(-n), var(n))
-    return _close_free_letter(
-        {tuple(ends): Fraction(1)}, fixed, free_v, free_w, table.free_sums(n, m * N, N), N
-    )
+    return _close_free_letter({tuple(ends): Fraction(1)}, fixed, free_v, free_w, K, N)
 
 
 def sesquilinear_moment_exact(

@@ -109,9 +109,13 @@ class TestWgCommand:
         res = run_cli("wg", "--n", "1", "--N", "5")
         assert json.loads(res.stdout)["rows"][0]["value"] == 0.2
 
-    def test_singular_regime_exit_code(self):
+    def test_below_order_values(self):
         res = run_cli("wg", "--n", "3", "--N", "2")
-        assert res.returncode == 2
+        assert res.returncode == 0
+        rows = {tuple(row["cycle_type"]): row for row in json.loads(res.stdout)["rows"]}
+        assert rows[(1, 1, 1)]["fraction"] == "17/144"
+        assert rows[(2, 1)]["fraction"] == "1/144"
+        assert rows[(3,)]["fraction"] == "-7/144"
 
     def test_usage_error_exit_code(self):
         assert run_cli("wg", "--n", "2").returncode == 1
@@ -128,6 +132,12 @@ class TestMomentCommand:
     def test_unbalanced_is_zero(self):
         res = run_cli("moment", "--N", "4", "--up", "1,1")
         assert json.loads(res.stdout)["value"] == 0.0
+
+    def test_malformed_index_pair_is_usage_error(self):
+        for pair in ("a,b", "1", "1,2,3"):
+            res = run_cli("moment", "--N", "4", "--up", pair, "--conj", "1,1")
+            assert res.returncode == 1, pair
+            assert "index pair" in res.stderr
 
 
 class TestPairingCommand:

@@ -6,7 +6,6 @@ from nc_hardy import (
     BoundaryKind,
     FreenessFactor,
     FreenessStructureError,
-    GramSingularityError,
     MCEstimate,
     NcSeries,
     SeededStream,
@@ -174,11 +173,7 @@ class TestMcPairing:
                 mats[w] = mats[prefix] @ stack[:, w.letters[-1] - 1]
             for w in words:
                 for v in words:
-                    try:
-                        exact = float(pairing_moment_exact(w, v, kind, n_dim)) / n_dim
-                    except GramSingularityError:
-                        # letter multiplicity above N: exact engine declines
-                        continue
+                    exact = float(pairing_moment_exact(w, v, kind, n_dim)) / n_dim
                     z = np.einsum("bij,bij->b", mats[w].conj(), mats[v]) / n_dim
                     mean = z.mean()
                     se = z.std(ddof=1) / np.sqrt(samples)

@@ -14,12 +14,12 @@ from nc_hardy import (
     AlphabetMismatchError,
     DEFAULT_TABLE,
     BoundaryKind,
-    GramSingularityError,
     MultiplicityLimitError,
     NcSeries,
     WeingartenTable,
     Word,
     haar_entry_moment,
+    partitions,
     pairing_moment_exact,
     sesquilinear_moment_exact,
 )
@@ -66,19 +66,24 @@ class TestWeingartenValues:
             assert vals[(3,)] == Fraction(2, denom)
 
     def test_full_gram_inversion_oracle(self):
-        # independent route: invert the full n! x n! Gram matrix in floats
+        # independent route: invert the full n! x n! Gram matrix in floats;
+        # below the order it is singular and Wg is its pseudo-inverse
         table = WeingartenTable()
         for order in (2, 3, 4):
             perms = list(permutations(range(order)))
             ident = perms.index(tuple(range(order)))
             inverses = [np.argsort(b).tolist() for b in perms]
-            for n_dim in (order, order + 2, 8):
+            for n_dim in (*range(1, order), order, order + 2, 8):
                 gram = np.empty((len(perms), len(perms)))
                 for i, a in enumerate(perms):
                     for j, binv in enumerate(inverses):
                         comp = tuple(a[k] for k in binv)
                         gram[i, j] = float(n_dim) ** len(_cycle_type0(comp))
-                inv_col = np.linalg.solve(gram, np.eye(len(perms))[:, ident])
+                unit = np.eye(len(perms))[:, ident]
+                if n_dim < order:
+                    inv_col = np.linalg.pinv(gram) @ unit
+                else:
+                    inv_col = np.linalg.solve(gram, unit)
                 vals = table.values(order, n_dim)
                 for idx, perm in enumerate(perms):
                     exact = float(vals[_cycle_type0(perm)])
@@ -96,28 +101,37 @@ class TestWeingartenValues:
             )
 
     def test_defining_relation_residual(self):
+        # G Wg = 1 for N >= n; below the order, the Moore-Penrose identities
+        # G W G = G and W G W = W for the matrices G = (N^{#(a b^-1)}) and
+        # W = (Wg(N, a b^-1))
         table = WeingartenTable()
-        for order in (2, 3, 4):
+        for order in (2, 3, 4, 5):
             perms = list(permutations(range(order)))
             ident = perms.index(tuple(range(order)))
             inverses = [np.argsort(b).tolist() for b in perms]
-            for n_dim in (order, order + 3):
+            for n_dim in (*range(1, order), order, order + 3):
                 vals = table.values(order, n_dim)
-                wg_vec = np.array([float(vals[_cycle_type0(p)]) for p in perms])
                 gram = np.empty((len(perms), len(perms)))
+                wg_mat = np.empty((len(perms), len(perms)))
                 for i, a in enumerate(perms):
                     for j, binv in enumerate(inverses):
-                        comp = tuple(a[k] for k in binv)
-                        gram[i, j] = float(n_dim) ** len(_cycle_type0(comp))
-                resid = gram @ wg_vec - np.eye(len(perms))[:, ident]
-                assert np.max(np.abs(resid)) <= 1e-10
+                        ct = _cycle_type0(tuple(a[k] for k in binv))
+                        gram[i, j] = float(n_dim) ** len(ct)
+                        wg_mat[i, j] = float(vals[ct])
+                if n_dim >= order:
+                    resid = gram @ wg_mat[:, ident] - np.eye(len(perms))[:, ident]
+                    assert np.max(np.abs(resid)) <= 1e-10
+                else:
+                    scale = np.max(np.abs(gram))
+                    resid = gram @ wg_mat @ gram - gram
+                    assert np.max(np.abs(resid)) <= 1e-12 * scale
+                    resid = wg_mat @ gram @ wg_mat - wg_mat
+                    assert np.max(np.abs(resid)) <= 1e-12
 
     def test_asymptotic_order(self):
         # |Wg(N, sigma)| * N^(2n - #sigma) converges; adjacent doublings agree to 5%
         table = WeingartenTable()
         for order in (2, 3, 4):
-            from nc_hardy import partitions
-
             for ctype in partitions(order):
                 seq = []
                 for n_dim in (8, 16, 32, 64):
@@ -135,11 +149,15 @@ class TestWeingartenValues:
 
     def test_free_sums_against_permutation_sum(self):
         # K(y) = sum over all pi of Wg(M, pi) N^{#(y pi)}, summed directly; at
-        # M = N the Gram relation makes it the indicator of the identity class
+        # M = N >= n the Gram relation makes it the indicator of the identity
+        # class
         table = WeingartenTable()
         for order in (1, 2, 3, 4):
             perms = list(permutations(range(order)))
-            for big, small in ((order, order), (order + 2, order + 2), (2 * order, 2), (5, 1)):
+            below = [(big, small) for big in range(1, order) for small in (big, 2)]
+            for big, small in [
+                (order, order), (order + 2, order + 2), (2 * order, 2), (5, 1), *below
+            ]:
                 wg = table.values(order, big)
                 got = table.free_sums(order, big, small)
                 for y in perms:
@@ -149,8 +167,13 @@ class TestWeingartenValues:
                         for pi in perms
                     )
                     assert got[_cycle_type0(y)] == want
-                    if big == small:
+                    if big == small >= order:
                         assert want == (1 if y == tuple(range(order)) else 0)
+
+    def test_free_sums_build_no_weingarten_table(self):
+        table = WeingartenTable()
+        table.free_sums(3, 6, 2)
+        assert not table._values
 
     def test_gram_goldens(self):
         # values(n, N) for n <= 6, N in [n, 12], and free_sums(n, M, N) for
@@ -171,15 +194,22 @@ class TestWeingartenValues:
         for entry in golden["free_sums"]:
             assert dict(table.free_sums(entry["n"], entry["M"], entry["N"])) == parse(entry)
 
-    def test_singular_regime_rejected(self):
+    def test_below_order_is_pseudo_inverse(self):
+        # order 3 at N = 2: the sign character drops out of the character sum
         table = WeingartenTable()
-        with pytest.raises(GramSingularityError):
-            table.values(3, 2)
+        assert dict(table.values(3, 2)) == {
+            (1, 1, 1): Fraction(17, 144),
+            (2, 1): Fraction(1, 144),
+            (3,): Fraction(-7, 144),
+        }
+        assert dict(table.values(4, 1)) == {ct: Fraction(1, 576) for ct in partitions(4)}
 
     def test_order_limit(self):
-        table = WeingartenTable(max_n=6)
+        table = WeingartenTable()
         with pytest.raises(MultiplicityLimitError):
             table.values(7, 10)
+        with pytest.raises(ValueError):
+            table.values(2, 0)
 
 
 def _centralizer_order(mu):
@@ -264,10 +294,7 @@ class TestPairingExact:
     def test_telescoping_identity(self):
         kind = BoundaryKind.polydisc(2)
         for w in (Word(), Word((1,)), Word((1, 2)), Word((1, 1, 2)), Word((2, 2, 2))):
-            for n_dim in (1, 2, 3, 5) if len(w) == 0 else (3, 5):
-                n_req = max([w.letters.count(k) for k in set(w.letters)] or [1])
-                if n_dim < n_req:
-                    continue
+            for n_dim in (1, 2, 3, 5):
                 assert pairing_moment_exact(w, w, kind, n_dim) == Fraction(n_dim)
 
     def test_length_mismatch_exact_zero(self):
@@ -325,11 +352,7 @@ class TestPairingExact:
             for v in words:
                 if len(w) < 3 and len(v) < 3:
                     continue
-                try:
-                    got = pairing_moment_exact(w, v, kind, 2)
-                except GramSingularityError:
-                    # letter multiplicity 3 exceeds N = 2
-                    continue
+                got = pairing_moment_exact(w, v, kind, 2)
                 assert got == brute_pairing(w, v, kind, 2), (w, v)
 
     def test_pairing_symmetric_in_word_arguments(self):
@@ -378,27 +401,64 @@ class TestPairingExact:
         letters = st.lists(st.integers(1, m), max_size=3)
         w = data.draw(letters)
         v = data.draw(st.one_of(st.permutations(w), letters))
-        if family == "polydisc":
-            need = max([w.count(x) for x in w] + [v.count(x) for x in v] + [1])
-        else:
-            need = -(-max(len(w), len(v), 1) // m)
-        N = data.draw(st.integers(need, 3))
+        N = data.draw(st.integers(1, 3))
         kind = BoundaryKind(family, m)
         got = pairing_moment_exact(Word(w), Word(v), kind, N, DEFAULT_TABLE)
         assert got == brute_pairing(Word(w), Word(v), kind, N)
         assert got == pairing_moment_exact(Word(w), Word(v), kind, N, WeingartenTable())
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_polydisc_at_dimension_one_is_torus_integral(self, data):
+        # N = 1: the m unitaries are independent uniform phases, so the
+        # pairing is 1 if every letter occurs equally often in w and v, else 0
+        m = data.draw(st.integers(1, 3))
+        w = data.draw(st.lists(st.integers(1, m), max_size=6))
+        v = data.draw(st.one_of(st.permutations(w), st.lists(st.integers(1, m), max_size=6)))
+        got = pairing_moment_exact(Word(w), Word(v), BoundaryKind.polydisc(m), 1)
+        assert got == (1 if Counter(w) == Counter(v) else 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ball_at_dimension_one_is_sphere_moment(self, data):
+        # N = 1: the letters are the coordinates of a uniform point of the
+        # unit sphere in C^m, whose moments are alpha! (m-1)! / (m-1+|alpha|)!
+        # for the letter counts alpha, including m < |w|
+        family = data.draw(st.sampled_from(["ball_column", "ball_row"]))
+        m = data.draw(st.integers(1, 3))
+        w = data.draw(st.lists(st.integers(1, m), max_size=6))
+        v = data.draw(st.one_of(st.permutations(w), st.lists(st.integers(1, m), max_size=6)))
+        want = 0
+        if Counter(w) == Counter(v):
+            alpha = Counter(w).values()
+            want = Fraction(
+                prod(factorial(k) for k in alpha) * factorial(m - 1), factorial(m - 1 + len(w))
+            )
+        assert pairing_moment_exact(Word(w), Word(v), BoundaryKind(family, m), 1) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_letter_relabelling_invariance(self, data):
+        # permuting the letters permutes independent unitaries (polydisc) or
+        # the blocks of one Haar unitary (balls); Haar measure sees neither
+        family = data.draw(st.sampled_from(["polydisc", "ball_column", "ball_row"]))
+        m = data.draw(st.integers(1, 3))
+        w = data.draw(st.lists(st.integers(1, m), max_size=5))
+        v = data.draw(st.one_of(st.permutations(w), st.lists(st.integers(1, m), max_size=5)))
+        pi = data.draw(st.permutations(range(1, m + 1)))
+        N = data.draw(st.integers(1, 3))
+        kind = BoundaryKind(family, m)
+        relabel = lambda word: Word(pi[x - 1] for x in word)
+        assert pairing_moment_exact(relabel(w), relabel(v), kind, N) == pairing_moment_exact(
+            Word(w), Word(v), kind, N
+        )
+
     def test_multiplicity_and_dimension_guards(self):
-        kind = BoundaryKind.polydisc(1)
-        with pytest.raises(GramSingularityError):
-            pairing_moment_exact(Word((1, 1)), Word((1, 1)), kind, 1)
         long_word = Word((1,) * 7)
         with pytest.raises(MultiplicityLimitError):
-            pairing_moment_exact(long_word, long_word, kind, 10)
-        with pytest.raises(GramSingularityError):
-            pairing_moment_exact(
-                Word((1, 1, 2)), Word((1, 2, 1)), BoundaryKind.ball_column(2), 1
-            )
+            pairing_moment_exact(long_word, long_word, BoundaryKind.polydisc(1), 10)
+        with pytest.raises(MultiplicityLimitError):
+            pairing_moment_exact(long_word, long_word, BoundaryKind.ball_column(2), 10)
 
     def test_alphabet_guard(self):
         with pytest.raises(AlphabetMismatchError):
