@@ -35,6 +35,7 @@ from .weingarten import (
 )
 from .haar_mc import (
     CHUNK_SAMPLES,
+    STREAM_PLAN,
     DEFAULT_SEED,
     default_seed,
     SeededStream,

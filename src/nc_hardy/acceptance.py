@@ -28,7 +28,6 @@ from .hardy import (
 from .weingarten import (
     BoundaryKind,
     WeingartenTable,
-    _cycle_type0,
     pairing_moment_exact,
     sesquilinear_moment_exact,
 )
@@ -39,6 +38,7 @@ __all__ = [
     "CRITERIA",
     "run_all",
     "all_words",
+    "cycle_type",
     "random_series",
     "random_tuple",
 ]
@@ -87,6 +87,23 @@ def all_words(m: int, max_len: int) -> list[Word]:
     return out
 
 
+def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of a 0-based permutation, largest first.
+
+    The Gram oracles' own helper, so they share nothing with the engine under
+    test but its table.
+    """
+    left, lens = set(range(len(perm))), []
+    while left:
+        start = left.pop()
+        j, length = perm[start], 1
+        while j != start:
+            left.discard(j)
+            j, length = perm[j], length + 1
+        lens.append(length)
+    return tuple(sorted(lens, reverse=True))
+
+
 def criterion_1(seed: int | None = None, corrupt: bool = False) -> CriterionResult:
     """Weingarten values against the hand-inverted 2x2 Gram system, and the
     defining Gram relation for all orders n <= 5, dimensions N <= 12."""
@@ -114,12 +131,12 @@ def criterion_1(seed: int | None = None, corrupt: bool = False) -> CriterionResu
         ident = tuple(range(order))
         for n_dim in range(order, 13):
             vals = table.values(order, n_dim)
-            wg_vec = np.array([float(vals[_cycle_type0(p)]) for p in perms])
+            wg_vec = np.array([float(vals[cycle_type(p)]) for p in perms])
             gram = np.empty((len(perms), len(perms)))
             for i, a in enumerate(perms):
                 for j, binv in enumerate(inverses):
                     comp = tuple(a[k] for k in binv)
-                    gram[i, j] = float(n_dim) ** len(_cycle_type0(comp))
+                    gram[i, j] = float(n_dim) ** len(cycle_type(comp))
             unit = np.zeros(len(perms))
             unit[perms.index(ident)] = 1.0
             resid = float(np.max(np.abs(gram @ wg_vec - unit)))

@@ -6,6 +6,16 @@ drawn in fixed-size chunks, each chunk from its own derived substream, and the
 per-chunk partial sums are reduced in chunk order.  Results therefore do not
 depend on the worker count.  Plain averaging only; no variance reduction, so
 the estimator stays an independent, auditable oracle for the exact engine.
+
+Stream plan 2 (``STREAM_PLAN``): a polydisc point is m Haar unitaries of size
+N, each the phase-fixed QR factor of an N x N complex Ginibre matrix
+(Mezzadri, math-ph/0609050).  A ball point needs only the first block column
+of a Haar unitary of size mN, so only an mN x N Ginibre block is drawn and
+its thin QR factor, phase-fixed, is that column.  The row ball is the column
+ball's adjoint: the row blocks of U are the adjoints of the column blocks of
+U*, which is Haar too.  Each chunk reports its count, sum and second central
+moment, merged in chunk order (Chan, Golub and LeVeque 1979), so the standard
+error does not cancel when the integrand concentrates.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .words import (
 
 __all__ = [
     "CHUNK_SAMPLES",
+    "STREAM_PLAN",
     "DEFAULT_SEED",
     "default_seed",
     "SeededStream",
@@ -48,6 +59,8 @@ __all__ = [
 
 # Chunk size is part of the stream plan: changing it changes the draws.
 CHUNK_SAMPLES = 4096
+# Bumped whenever the draws or the reduction of a fixed seed change.
+STREAM_PLAN = 2
 
 _ENV_SEED = "NC_HARDY_SEED"
 DEFAULT_SEED = 424242
@@ -93,12 +106,14 @@ def default_stream(seed: int | None = None, stream_id: int = 0) -> SeededStream:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte Carlo result contract: mean, standard error, sample count, seed."""
+    """Monte Carlo result contract: mean, standard error, sample count, seed,
+    and the stream plan that drew the samples."""
 
     mean: complex
     std_error: float
     samples: int
     seed: int
+    stream_plan: int = STREAM_PLAN
 
     def __post_init__(self) -> None:
         if self.samples < 2:
@@ -107,12 +122,31 @@ class MCEstimate:
             raise ValueError("std_error must be nonnegative")
 
     @classmethod
-    def from_sums(
-        cls, total: complex, total_sq: float, samples: int, seed: int
+    def from_chunks(
+        cls, chunks: Sequence[tuple[int, complex, float]], seed: int
     ) -> "MCEstimate":
-        mean = total / samples
-        var = max((total_sq - abs(total) ** 2 / samples) / (samples - 1), 0.0)
-        return cls(mean=complex(mean), std_error=sqrt(var / samples), samples=samples, seed=seed)
+        """Reduce per-chunk (count, sum, M2), in the given order.
+
+        M2 is the chunk's sum of |z - chunk mean|^2.  The mean is the sum of
+        the chunk sums over the sample count; the M2s are merged one chunk at
+        a time by the update of Chan, Golub and LeVeque (1979), which never
+        subtracts two large sums.
+        """
+        count, total, m2 = 0, 0j, 0.0
+        for n, s, q in chunks:
+            if count:
+                delta = s / n - total / count
+                m2 += q + abs(delta) ** 2 * (count * n / (count + n))
+            else:
+                m2 = q
+            count += n
+            total += s
+        return cls(
+            mean=complex(total / count),
+            std_error=sqrt(m2 / (count - 1) / count),
+            samples=count,
+            seed=seed,
+        )
 
     def delta_in_se(self, reference: complex) -> float:
         """|mean - reference| in units of std_error (inf if std_error = 0 and they differ)."""
@@ -128,16 +162,20 @@ class MCEstimate:
             "std_error": self.std_error,
             "samples": self.samples,
             "seed": self.seed,
+            "stream_plan": self.stream_plan,
         }
 
 
-def _haar_stack(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitaries of shape (count, dim, dim).
+def _haar_columns(
+    count: int, rows: int, cols: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The first cols columns of count Haar unitaries of size rows.
 
-    Complex Ginibre matrix, QR-factorized, with the phases of the diagonal of R
-    divided out so the factorization is the unique one with positive diagonal.
+    A complex Ginibre block of shape (count, rows, cols), thin-QR-factorized,
+    with the phases of the diagonal of R divided out of Q's columns so the
+    factorization is the unique one with positive diagonal.
     """
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    z = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal((count, rows, cols))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.einsum("bii->bi", r)
@@ -157,23 +195,27 @@ def sample_haar_unitary(
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = stream.generator()
-    stack = _haar_stack(N, count if count is not None else 1, rng)
+    stack = _haar_columns(count if count is not None else 1, N, N, rng)
     return stack if count is not None else stack[0]
 
 
 def _boundary_stack(
     kind: BoundaryKind, N: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Boundary samples of shape (count, m, N, N)."""
+    """Boundary samples of shape (count, m, N, N).
+
+    polydisc: count * m Haar unitaries of size N.  ball_column: the mN x N
+    first block column of a Haar unitary of size mN, split into its m blocks
+    by a reshape.  ball_row: the adjoints of those blocks, i.e. the first
+    block row of the Haar unitary U* whose first block column was drawn.
+    """
     m = kind.m
     if kind.family == "polydisc":
-        return _haar_stack(N, count * m, rng).reshape(count, m, N, N)
-    big = _haar_stack(m * N, count, rng)
-    if kind.family == "ball_column":
-        blocks = [big[:, k * N : (k + 1) * N, 0:N] for k in range(m)]
-    else:
-        blocks = [big[:, 0:N, k * N : (k + 1) * N] for k in range(m)]
-    return np.stack(blocks, axis=1)
+        return _haar_columns(count * m, N, N, rng).reshape(count, m, N, N)
+    blocks = _haar_columns(count, m * N, N, rng).reshape(count, m, N, N)
+    if kind.family == "ball_row":
+        return blocks.conj().transpose(0, 1, 3, 2)
+    return blocks
 
 
 def sample_boundary(
@@ -183,7 +225,9 @@ def sample_boundary(
 
     polydisc: m independent Haar unitaries.  ball_column: the m blocks of the
     first block column of a Haar unitary of size mN (an isometry column, so
-    sum Xi* Xi = I).  ball_row: blocks of the first block row (sum Xi Xi* = I).
+    sum Xi* Xi = I), drawn as an mN x N thin QR factor.  ball_row: the
+    adjoints of the ball_column blocks drawn from the same stream, which are
+    the blocks of the first block row of a Haar unitary (sum Xi Xi* = I).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -212,12 +256,13 @@ def _mc_estimate(
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
-    def run_chunk(job: tuple[int, int]) -> tuple[complex, float]:
+    def run_chunk(job: tuple[int, int]) -> tuple[int, complex, float]:
         idx, size = job
         rng = stream.chunk_generator(idx)
         xs = _boundary_stack(kind, N, size, rng)
         z = np.asarray(integrand(xs), dtype=complex)
-        return complex(z.sum()), float(np.square(np.abs(z)).sum())
+        total = complex(z.sum())
+        return size, total, float(np.square(np.abs(z - total / size)).sum())
 
     jobs = list(enumerate(_chunk_plan(samples)))
     if workers > 1:
@@ -225,12 +270,7 @@ def _mc_estimate(
             partials = list(pool.map(run_chunk, jobs))
     else:
         partials = [run_chunk(job) for job in jobs]
-    total = 0j
-    total_sq = 0.0
-    for part_sum, part_sq in partials:  # fixed chunk order
-        total += part_sum
-        total_sq += part_sq
-    return MCEstimate.from_sums(total, total_sq, samples, stream.seed)
+    return MCEstimate.from_chunks(partials, stream.seed)  # fixed chunk order
 
 
 def _mc_weighted_pairing(

@@ -1,5 +1,6 @@
 """Shared helpers: an independent brute-force oracle, plus the random input
-factories of the acceptance battery (re-exported so both draw the same inputs).
+factories of the acceptance battery (re-exported so both draw the same inputs)
+and its cycle type, which the Gram oracles use instead of the engine's.
 
 The brute pairing oracle assembles boundary integrals from explicit index
 chains and raw entry moments, a different route than the production
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import product as iterproduct
 
 from nc_hardy import BoundaryKind, Word, haar_entry_moment
-from nc_hardy.acceptance import all_words, random_series, random_tuple  # noqa: F401
+from nc_hardy.acceptance import all_words, cycle_type, random_series, random_tuple  # noqa: F401
 
 
 def brute_pairing(w: Word, v: Word, kind: BoundaryKind, N: int) -> Fraction:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from nc_hardy import (
     FreenessStructureError,
     MCEstimate,
     NcSeries,
+    STREAM_PLAN,
     SeededStream,
     Word,
     freeness_diagnostic,
@@ -67,6 +70,28 @@ class TestSamplers:
         xs = sample_boundary(BoundaryKind.ball_row(3), 4, SeededStream(5))
         gram = sum(a @ a.conj().T for a in xs.entries)
         assert np.linalg.norm(gram - np.eye(4)) <= 1e-12
+
+    def test_polydisc_and_unitary_bits_pinned(self):
+        # stream plan 2 left these draws as they were under plan 1; the
+        # digests are of little-endian complex128 bytes captured under plan 1
+        xs = sample_boundary(BoundaryKind.polydisc(2), 4, SeededStream(7), count=3)
+        assert xs[0, 0, 0, 0].real == float.fromhex("-0x1.f7169ef857f40p-3")
+        assert xs[2, 1, 3, 3].imag == float.fromhex("0x1.b8f2dbbb8e38cp-3")
+        assert hashlib.sha256(xs.astype("<c16").tobytes()).hexdigest() == (
+            "327b4d02d5c35bb65315566dd94d2b5fb8b28043c67b6827247e41ebf2c86921"
+        )
+        us = sample_haar_unitary(3, SeededStream(7), count=2)
+        assert us[0, 0, 0].real == float.fromhex("-0x1.0d65c6c5fdb38p-2")
+        assert hashlib.sha256(us.astype("<c16").tobytes()).hexdigest() == (
+            "3cfd2795749eab31c1a54cc1db9e81b71081bec832a6e9798e740686f9949da4"
+        )
+
+    @pytest.mark.parametrize("m, n_dim", [(1, 3), (2, 4), (3, 2)])
+    def test_row_ball_is_column_ball_adjoint(self, m, n_dim):
+        cols = sample_boundary(BoundaryKind.ball_column(m), n_dim, SeededStream(8), count=5)
+        rows = sample_boundary(BoundaryKind.ball_row(m), n_dim, SeededStream(8), count=5)
+        assert rows.shape == cols.shape == (5, m, n_dim, n_dim)
+        assert np.array_equal(rows, cols.conj().transpose(0, 1, 3, 2))
 
     def test_trace_centered(self):
         stack = sample_haar_unitary(3, SeededStream(6), count=20_000)
@@ -131,6 +156,27 @@ class TestInvariance:
             assert ks_2samp(a, b).pvalue > 0.01
 
 
+def _short_word_cases(count: int, seed: int) -> list:
+    """Seeded (family, m, w, v, N) cases with m in {2, 3}, words of length 1
+    to 3 and N in 1..4; three in four pair w with a rearrangement of itself,
+    so most values are nonzero."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        family = ("polydisc", "ball_column", "ball_row")[k % 3]
+        m = int(rng.integers(2, 4))
+        w = tuple(int(x) for x in rng.integers(1, m + 1, size=int(rng.integers(1, 4))))
+        if rng.random() < 0.75:
+            v = tuple(int(x) for x in rng.permutation(w))
+        else:
+            v = tuple(int(x) for x in rng.integers(1, m + 1, size=int(rng.integers(1, 4))))
+        cases.append((family, m, w, v, int(rng.integers(1, 5))))
+    return cases
+
+
+_SHORT_WORD_CASES = _short_word_cases(24, 4100)
+
+
 class TestMcPairing:
     def test_constant_integrand(self):
         f = NcSeries(2, {(1,): 1.0})
@@ -151,11 +197,12 @@ class TestMcPairing:
 
     def test_worker_count_irrelevant(self):
         f = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
-        kind = BoundaryKind.ball_column(2)
-        est1 = mc_pairing(f, f, 0.8, kind, 3, 10_000, SeededStream(34), workers=1)
-        est3 = mc_pairing(f, f, 0.8, kind, 3, 10_000, SeededStream(34), workers=3)
-        assert est1.mean == est3.mean
-        assert est1.std_error == est3.std_error
+        for kind in (BoundaryKind.ball_column(2), BoundaryKind.ball_row(2)):
+            est1 = mc_pairing(f, f, 0.8, kind, 3, 10_000, SeededStream(34), workers=1)
+            for workers in (2, 3):
+                est = mc_pairing(f, f, 0.8, kind, 3, 10_000, SeededStream(34), workers=workers)
+                assert est.mean == est1.mean
+                assert est.std_error == est1.std_error
 
     def test_pairing_battery_against_exact_engine(self):
         # shared sample stacks keep 225 pair checks cheap; exact values are the
@@ -179,6 +226,17 @@ class TestMcPairing:
                     se = z.std(ddof=1) / np.sqrt(samples)
                     assert abs(mean - exact) <= 4 * se + 1e-12, (w, v, n_dim)
 
+    @pytest.mark.parametrize("case", range(len(_SHORT_WORD_CASES)))
+    def test_random_short_words_against_exact_engine(self, case):
+        family, m, w, v, n_dim = _SHORT_WORD_CASES[case]
+        kind = BoundaryKind(family, m)
+        est = mc_pairing(
+            NcSeries.monomial(m, v), NcSeries.monomial(m, w), 1.0, kind, n_dim, 4096,
+            SeededStream(4100, case),
+        )
+        exact = float(pairing_moment_exact(Word(w), Word(v), kind, n_dim)) / n_dim
+        assert abs(est.mean - exact) <= 5 * est.std_error + 1e-12, (est, exact)
+
     def test_sample_floor(self):
         f = NcSeries(1, {(1,): 1.0})
         with pytest.raises(ValueError):
@@ -196,15 +254,38 @@ class TestMcPairing:
 
 
 class TestMCEstimate:
-    def test_from_sums_matches_numpy(self):
+    def test_from_chunks_matches_numpy(self):
         rng = np.random.default_rng(40)
         z = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        est = MCEstimate.from_sums(
-            complex(z.sum()), float(np.square(np.abs(z)).sum()), len(z), 9
+        chunks = [z[:200], z[200:400], z[400:497], z[497:]]
+        est = MCEstimate.from_chunks(
+            [
+                (len(c), complex(c.sum()), float(np.square(np.abs(c - c.sum() / len(c))).sum()))
+                for c in chunks
+            ],
+            9,
         )
+        total = 0j
+        for c in chunks:
+            total += complex(c.sum())
+        assert est.mean == total / len(z)
         assert abs(est.mean - z.mean()) < 1e-12
         want_se = z.std(ddof=1) / np.sqrt(len(z))
         assert abs(est.std_error - want_se) < 1e-12
+        assert (est.samples, est.seed, est.stream_plan) == (500, 9, STREAM_PLAN)
+        assert est.to_json_dict()["stream_plan"] == STREAM_PLAN == 2
+
+    def test_standard_error_survives_a_large_mean(self):
+        # (1/N) Tr(f(X)* f(X)) for f = a + b X1 is a^2 + b^2 + 2ab Re Tr(X1)/N,
+        # so its SE is ab times that of f = 1 + X1 on the same draws.  A
+        # sum-of-squares reduction cancels to 0 here; the merge keeps it.
+        kind, stream = BoundaryKind.polydisc(1), SeededStream(3)
+        big = NcSeries(1, {(): 1e4, (1,): 1e-6})
+        unit = NcSeries(1, {(): 1.0, (1,): 1.0})
+        est = mc_pairing(big, big, 1.0, kind, 2, 8192, stream)
+        ref = mc_pairing(unit, unit, 1.0, kind, 2, 8192, stream)
+        assert abs(est.std_error / (1e-2 * ref.std_error) - 1) <= 1e-6
+        assert abs(est.std_error - 7.84e-5) <= 1e-7
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_words, brute_pairing
+from conftest import all_words, brute_pairing, cycle_type
 from nc_hardy import (
     AlphabetMismatchError,
     DEFAULT_TABLE,
@@ -23,7 +23,7 @@ from nc_hardy import (
     pairing_moment_exact,
     sesquilinear_moment_exact,
 )
-from nc_hardy.weingarten import _characters, _cycle_type0, _schur_at_ones
+from nc_hardy.weingarten import _characters, _schur_at_ones
 
 GOLDEN_TABLE = Path(__file__).parent / "golden" / "weingarten_table.json"
 
@@ -78,7 +78,7 @@ class TestWeingartenValues:
                 for i, a in enumerate(perms):
                     for j, binv in enumerate(inverses):
                         comp = tuple(a[k] for k in binv)
-                        gram[i, j] = float(n_dim) ** len(_cycle_type0(comp))
+                        gram[i, j] = float(n_dim) ** len(cycle_type(comp))
                 unit = np.eye(len(perms))[:, ident]
                 if n_dim < order:
                     inv_col = np.linalg.pinv(gram) @ unit
@@ -86,7 +86,7 @@ class TestWeingartenValues:
                     inv_col = np.linalg.solve(gram, unit)
                 vals = table.values(order, n_dim)
                 for idx, perm in enumerate(perms):
-                    exact = float(vals[_cycle_type0(perm)])
+                    exact = float(vals[cycle_type(perm)])
                     assert abs(inv_col[idx] - exact) < 1e-8
 
     def test_conjugation_invariance(self):
@@ -96,8 +96,8 @@ class TestWeingartenValues:
             pi = rng.permutation(4).tolist()
             pinv = np.argsort(pi)
             conj = [pi[sigma[pinv[k]]] for k in range(4)]
-            assert DEFAULT_TABLE.wg(4, 6, _cycle_type0(sigma)) == DEFAULT_TABLE.wg(
-                4, 6, _cycle_type0(conj)
+            assert DEFAULT_TABLE.wg(4, 6, cycle_type(sigma)) == DEFAULT_TABLE.wg(
+                4, 6, cycle_type(conj)
             )
 
     def test_defining_relation_residual(self):
@@ -115,7 +115,7 @@ class TestWeingartenValues:
                 wg_mat = np.empty((len(perms), len(perms)))
                 for i, a in enumerate(perms):
                     for j, binv in enumerate(inverses):
-                        ct = _cycle_type0(tuple(a[k] for k in binv))
+                        ct = cycle_type(tuple(a[k] for k in binv))
                         gram[i, j] = float(n_dim) ** len(ct)
                         wg_mat[i, j] = float(vals[ct])
                 if n_dim >= order:
@@ -162,11 +162,11 @@ class TestWeingartenValues:
                 got = table.free_sums(order, big, small)
                 for y in perms:
                     want = sum(
-                        wg[_cycle_type0(pi)]
-                        * small ** len(_cycle_type0([y[p] for p in pi]))
+                        wg[cycle_type(pi)]
+                        * small ** len(cycle_type([y[p] for p in pi]))
                         for pi in perms
                     )
-                    assert got[_cycle_type0(y)] == want
+                    assert got[cycle_type(y)] == want
                     if big == small >= order:
                         assert want == (1 if y == tuple(range(order)) else 0)
 
@@ -452,6 +452,34 @@ class TestPairingExact:
         assert pairing_moment_exact(relabel(w), relabel(v), kind, N) == pairing_moment_exact(
             Word(w), Word(v), kind, N
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cancellation_identities(self, data):
+        # polydisc: X_a is unitary, so a letter added at either end of both
+        # words cancels; column ball: sum_a X_a* X_a = I cancels a common first
+        # letter summed over a; row ball: sum_a X_a X_a* = I cancels a common
+        # last letter.  N runs below the threshold too.
+        family = data.draw(st.sampled_from(["polydisc", "ball_column", "ball_row"]))
+        m = data.draw(st.integers(1, 3))
+        w = data.draw(st.lists(st.integers(1, m), max_size=4))
+        v = data.draw(st.one_of(st.permutations(w), st.lists(st.integers(1, m), max_size=4)))
+        N = data.draw(st.integers(1, 3))
+        kind = BoundaryKind(family, m)
+        want = pairing_moment_exact(Word(w), Word(v), kind, N)
+
+        def pair(a, b):
+            return pairing_moment_exact(Word(a), Word(b), kind, N)
+
+        letters = range(1, m + 1)
+        if family == "polydisc":
+            for a in letters:
+                assert pair([a, *w], [a, *v]) == want
+                assert pair([*w, a], [*v, a]) == want
+        elif family == "ball_column":
+            assert sum(pair([a, *w], [a, *v]) for a in letters) == want
+        else:
+            assert sum(pair([*w, a], [*v, a]) for a in letters) == want
 
     def test_multiplicity_and_dimension_guards(self):
         long_word = Word((1,) * 7)
