@@ -212,7 +212,12 @@ def criterion_4(seed: int | None = None) -> CriterionResult:
 
 def criterion_5(seed: int | None = None) -> CriterionResult:
     """Ball-boundary normalization: degree-1 means equal 1/m exactly; degree-2
-    means increase monotonically to 1/m^2; Monte Carlo agrees within 3 SE."""
+    means increase monotonically to 1/m^2; Monte Carlo agrees within 3 SE.
+
+    The Monte Carlo checks include 1 + X1, whose value 1 + 1/m needs the mean
+    of Tr(X1) to vanish: that holds for a Haar column, but not for one whose
+    QR factor keeps the phases of R's diagonal.
+    """
     t0 = time.perf_counter()
     failures: list[str] = []
     base_seed = MC_SEEDS[5] if seed is None else seed
@@ -235,14 +240,19 @@ def criterion_5(seed: int | None = None) -> CriterionResult:
             failures.append(f"m={m}: degree-2 means not monotone toward 1/m^2")
         if gaps[-1] / limit > 0.15:
             failures.append(f"m={m}: final relative gap {gaps[-1] / limit:.3f} > 15%")
-        for series, target in ((x1, 1.0 / m), (x12, deg2[1])):
+        checks = (
+            ("X1", x1, 1.0 / m, 100_000),
+            ("X1X2", x12, deg2[1], 100_000),
+            ("1 + X1", NcSeries(m, {(): 1.0, (1,): 1.0}), 1.0 + 1.0 / m, 16_384),
+        )
+        for label, series, target, samples in checks:
             est = mc_pairing(
-                series, series, 1.0, kind, 4, 100_000, SeededStream(base_seed, lane)
+                series, series, 1.0, kind, 4, samples, SeededStream(base_seed, lane)
             )
             lane += 1
             delta = est.delta_in_se(target)
             if delta > 3.0:
-                failures.append(f"m={m}: MC off exact by {delta:.2f} SE")
+                failures.append(f"m={m}: MC of {label} off exact by {delta:.2f} SE")
     return _finish(5, "ball-normalization", 300.0, t0, failures, "degree 1 exact, degree 2 -> 1/m^2")
 
 

@@ -572,13 +572,25 @@ def cmd_freeness(
     _emit(_json_text(payload), out)
 
 
+def _selftest_seeds(seed: int | None, only: tuple[int, ...]) -> str:
+    """The seeds the selected criteria sample with.  NC_HARDY_SEED plays no
+    part: without --seed each sampling criterion has its own fixed seed."""
+    if seed is not None:
+        return f"seed = {seed}"
+    numbers = sorted(set(only) or acceptance.CRITERIA)
+    seeds = [
+        f"criterion {k} = {acceptance.MC_SEEDS[k]}" for k in numbers if k in acceptance.MC_SEEDS
+    ]
+    return "seeds: " + ", ".join(seeds) if seeds else "no selected criterion draws seeded samples"
+
+
 @cli.command("selftest")
 @_seed_option
 @click.option("--only", "only", multiple=True, type=int, help="Run a subset of criteria.")
 @click.option("--inject-wg-corruption", is_flag=True, hidden=True)
 def cmd_selftest(seed: int | None, only: tuple[int, ...], inject_wg_corruption: bool) -> None:
     """Run the acceptance battery; exit code 0 iff every criterion passes."""
-    click.echo(f"nc-hardy selftest (seed = {default_seed() if seed is None else seed})")
+    click.echo(f"nc-hardy selftest ({_selftest_seeds(seed, only)})")
     results = acceptance.run_all(
         seed=seed, only=only or None, inject_wg_corruption=inject_wg_corruption
     )

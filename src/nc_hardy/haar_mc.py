@@ -16,6 +16,11 @@ ball's adjoint: the row blocks of U are the adjoints of the column blocks of
 U*, which is Haar too.  Each chunk reports its count, sum and second central
 moment, merged in chunk order (Chan, Golub and LeVeque 1979), so the standard
 error does not cancel when the integrand concentrates.
+
+A chunk's integrand (1/N) Tr(g(r_g X)* f(r_f X)) evaluates f and g in one
+prefix-trie walk of their words (``words._series_sums``), and evaluates f
+once when (g, r_g) is (f, r_f).  Neither changes a bit of the sums, so the
+evaluation is not part of the stream plan.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from .words import (
     MatrixTuple,
     NcSeries,
     Word,
-    _fresh_cache,
-    _series_stack,
+    _series_sums,
 )
 
 __all__ = [
@@ -175,7 +179,9 @@ def _haar_columns(
     with the phases of the diagonal of R divided out of Q's columns so the
     factorization is the unique one with positive diagonal.
     """
-    z = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal((count, rows, cols))
+    z = np.empty((count, rows, cols), dtype=complex)
+    z.real = rng.standard_normal((count, rows, cols))
+    z.imag = rng.standard_normal((count, rows, cols))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.einsum("bii->bi", r)
@@ -290,10 +296,13 @@ def _mc_weighted_pairing(
         raise AlphabetMismatchError("series and boundary alphabets differ")
     stream = stream if stream is not None else default_stream()
 
+    same = (f, r_f) == (g, r_g)
+
     def integrand(xs: np.ndarray) -> np.ndarray:
-        cache = _fresh_cache(xs.shape[0], N)
-        fx = _series_stack(f, xs, r_f, cache)
-        gx = _series_stack(g, xs, r_g, cache)
+        if same:
+            fx = gx = _series_sums(xs, [(f, r_f)])[0]
+        else:
+            fx, gx = _series_sums(xs, [(f, r_f), (g, r_g)])
         return np.einsum("bij,bij->b", gx.conj(), fx) / N
 
     return _mc_estimate(kind, N, samples, stream, integrand, workers)

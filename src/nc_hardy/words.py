@@ -291,31 +291,48 @@ class MatrixTuple:
 
 
 # Batched evaluation: xs has shape (count, m, n, n), one matrix tuple per
-# batch entry.  Word products are built prefix by prefix and cached per word,
-# so series sharing prefixes (or two series at the same points) multiply each
-# prefix once.  A MatrixTuple is evaluated as a batch of one.
+# batch entry.  One walk serves word_eval, series_eval and the Monte Carlo
+# integrand: it visits the prefix trie of every word to be evaluated one
+# length at a time.  A length-1 product is the letter's own matrix slice, with
+# no identity product; each longer product is its parent prefix's product
+# times one letter.  Only prefixes with children are kept, and a level is
+# dropped once the next one is built, so at most two levels are alive.  Words
+# come out in graded order, which is NcSeries.items() order, so each series
+# adds its terms in the order of a plain loop over items() and keeps its bits.
+# A MatrixTuple is evaluated as a batch of one.
 
-def _fresh_cache(count: int, n: int) -> dict[Word, np.ndarray]:
-    return {EMPTY_WORD: np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))}
-
-
-def _word_stack(xs: np.ndarray, w: Word, cache: dict[Word, np.ndarray]) -> np.ndarray:
-    got = cache.get(w)
-    if got is None:
-        prefix = Word(w.letters[:-1])
-        got = _word_stack(xs, prefix, cache) @ xs[:, w.letters[-1] - 1]
-        cache[w] = got
-    return got
-
-
-def _series_stack(
-    f: NcSeries, xs: np.ndarray, r: float, cache: dict[Word, np.ndarray]
-) -> np.ndarray:
+def _walk_words(xs: np.ndarray, words: Iterable[Word]) -> Iterator[tuple[Word, np.ndarray]]:
+    """Yield (w, stack of X^w) for every distinct word in words, in graded order."""
     count, _, n, _ = xs.shape
-    total = np.zeros((count, n, n), dtype=complex)
-    for word, c in f.items():
-        total += (c * r ** len(word)) * _word_stack(xs, word, cache)
-    return total
+    wanted = {w._data for w in words}
+    if b"" in wanted:
+        yield EMPTY_WORD, np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
+    parents: dict[bytes, np.ndarray] = {}
+    for length in range(1, max(map(len, wanted), default=0) + 1):
+        inner = {w[:length] for w in wanted if len(w) > length}
+        level: dict[bytes, np.ndarray] = {}
+        for node in sorted(inner.union(w for w in wanted if len(w) == length)):
+            letter = xs[:, node[-1] - 1]
+            prod = letter if length == 1 else parents[node[:-1]] @ letter
+            if node in wanted:
+                yield Word(node), prod
+            if node in inner:
+                level[node] = prod
+        parents = level
+
+
+def _series_sums(
+    xs: np.ndarray, terms: Sequence[tuple[NcSeries, float]]
+) -> list[np.ndarray]:
+    """sum_w f_w (rX)^w at every batch point, for each (f, r) in terms, in one walk."""
+    count, _, n, _ = xs.shape
+    sums = [np.zeros((count, n, n), dtype=complex) for _ in terms]
+    for w, prod in _walk_words(xs, {w for f, _ in terms for w in f._coeffs}):
+        for total, (f, r) in zip(sums, terms):
+            c = f._coeffs.get(w)
+            if c is not None:
+                total += (c * r ** len(w)) * prod
+    return sums
 
 
 def word_eval(X: MatrixTuple, w: Word) -> np.ndarray:
@@ -324,15 +341,16 @@ def word_eval(X: MatrixTuple, w: Word) -> np.ndarray:
         raise AlphabetMismatchError(
             f"word uses letter {w.max_letter()} but tuple has alphabet size {X.m}"
         )
-    # The empty word's identity is a read-only view in the cache; copy it out.
-    return np.array(_word_stack(np.stack(X.entries)[None], w, _fresh_cache(1, X.n))[0])
+    # The walk hands out views (the identity, a letter's slice); copy one out.
+    [(_, prod)] = _walk_words(np.stack(X.entries)[None], [w])
+    return np.array(prod[0])
 
 
 def series_eval(f: NcSeries, X: MatrixTuple, r: float = 1.0) -> np.ndarray:
     """Exact finite sum sum_w f_w (rX)^w for a polynomial series."""
     if f.m != X.m:
         raise AlphabetMismatchError(f"series alphabet {f.m} != tuple alphabet {X.m}")
-    return _series_stack(f, np.stack(X.entries)[None], r, _fresh_cache(1, X.n))[0]
+    return _series_sums(np.stack(X.entries)[None], [(f, r)])[0][0]
 
 
 def l2p_norm(f: NcSeries, p: float) -> float:

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -344,6 +345,22 @@ class TestSelftestCommand:
         ]
         assert strip(out1) == strip(out2)
         assert out1 != out2
+
+    def test_default_run_reports_each_criterion_seed(self):
+        # NC_HARDY_SEED does not reach the battery: without --seed each
+        # sampling criterion uses its own fixed seed, and the header says so.
+        env = {**os.environ, "NC_HARDY_SEED": "-5"}
+        res = run_cli("selftest", "--only", "2", "--only", "3", env=env)
+        assert res.returncode == 0
+        header = res.stdout.splitlines()[0]
+        assert header == "nc-hardy selftest (seeds: criterion 2 = 91002)"
+        exact_only = run_cli("selftest", "--only", "3", env=env).stdout.splitlines()[0]
+        assert exact_only == "nc-hardy selftest (no selected criterion draws seeded samples)"
+
+    def test_seed_flag_is_reported(self):
+        res = run_cli("selftest", "--only", "3", "--seed", "555")
+        assert res.returncode == 0
+        assert res.stdout.splitlines()[0] == "nc-hardy selftest (seed = 555)"
 
     def test_corruption_negative_control(self):
         res = run_cli("selftest", "--only", "1", "--inject-wg-corruption")

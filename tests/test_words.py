@@ -21,6 +21,7 @@ from nc_hardy import (
     similarity,
     word_eval,
 )
+from nc_hardy.words import _series_sums
 
 
 class TestWord:
@@ -162,23 +163,37 @@ class TestSeriesEval:
         assert abs(series_eval(f, X, 0.5)[0, 0] - 1.0) < 1e-15
 
     def test_matches_unbatched_reference(self):
-        # series_eval runs the batched Monte Carlo evaluator on a batch of one;
-        # it must match a plain left-to-right product loop bit for bit.
-        rng = np.random.default_rng(17)
-        for _ in range(60):
-            m = int(rng.integers(1, 4))
-            n = int(rng.integers(0, 9))
-            f = random_series(rng, m, 4, 6)
-            X = random_tuple(rng, m, n)
-            r = float(rng.uniform(0.2, 1.0))
-            want = np.zeros((n, n), dtype=complex)
+        # word_eval, series_eval and the Monte Carlo integrand share one prefix
+        # trie walk; every sum must match a plain left-to-right product loop
+        # over f.items() bit for bit: on a batch of one, on a batch of several
+        # points, and for two series summed in one walk.
+        def product_loop(X, f, r):
+            want = np.zeros((X.n, X.n), dtype=complex)
             for w, c in f.items():
-                prod = np.eye(n, dtype=complex)
+                prod = np.eye(X.n, dtype=complex)
                 for letter in w:
                     prod = prod @ X.entries[letter - 1]
                 want += c * (r ** len(w)) * prod
                 assert np.array_equal(word_eval(X, w), prod)
-            assert np.array_equal(series_eval(f, X, r), want)
+            return want
+
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            m = int(rng.integers(1, 4))
+            n = int(rng.integers(0, 9))
+            f = random_series(rng, m, 4, 6)
+            # Only words of length 3 and 4: their proper prefixes are trie
+            # nodes that are not words of g.
+            g_words = [tuple(rng.integers(1, m + 1, size=size).tolist()) for size in (3, 4, 4)]
+            g = NcSeries(m, {w: complex(*rng.standard_normal(2)) for w in g_words})
+            points = [random_tuple(rng, m, n) for _ in range(1 + trial % 4)]
+            r_f, r_g = (float(x) for x in rng.uniform(0.2, 1.0, size=2))
+            assert np.array_equal(series_eval(f, points[0], r_f), product_loop(points[0], f, r_f))
+            xs = np.stack([np.stack(X.entries) for X in points])
+            f_sums, g_sums = _series_sums(xs, [(f, r_f), (g, r_g)])
+            for X, fx, gx in zip(points, f_sums, g_sums):
+                assert np.array_equal(fx, product_loop(X, f, r_f))
+                assert np.array_equal(gx, product_loop(X, g, r_g))
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
