@@ -7,15 +7,51 @@ per-chunk partial sums are reduced in chunk order.  Results therefore do not
 depend on the worker count.  Plain averaging only; no variance reduction, so
 the estimator stays an independent, auditable oracle for the exact engine.
 
-Stream plan 2 (``STREAM_PLAN``): a polydisc point is m Haar unitaries of size
-N, each the phase-fixed QR factor of an N x N complex Ginibre matrix
-(Mezzadri, math-ph/0609050).  A ball point needs only the first block column
-of a Haar unitary of size mN, so only an mN x N Ginibre block is drawn and
-its thin QR factor, phase-fixed, is that column.  The row ball is the column
+Stream plan 3 (``STREAM_PLAN``): a polydisc point is m Haar unitaries of size
+N.  A ball point needs only the first block column of a Haar unitary of size
+mN, an mN x N isometry split into its m blocks.  The row ball is the column
 ball's adjoint: the row blocks of U are the adjoints of the column blocks of
-U*, which is Haar too.  Each chunk reports its count, sum and second central
-moment, merged in chunk order (Chan, Golub and LeVeque 1979), so the standard
-error does not cancel when the integrand concentrates.
+U*, which is Haar too.  Each draw is the Q factor, with positive diagonal of
+R, of a rows x cols complex Ginibre block (Mezzadri, math-ph/0609050), and
+``_haar_columns`` computes it on one of two routes, chosen by the per-matrix
+QR work rows * cols**2:
+
+* at or below ``_GRAM_SCHMIDT_MAX_WORK``, batched Gram-Schmidt: the block is
+  drawn batch-last, shape (cols, rows, count), and orthonormalized in place
+  by modified Gram-Schmidt with one reorthogonalization pass, each step one
+  numpy operation over the whole chunk;
+* above it, LAPACK: the block is drawn as (count, rows, cols), QR-factorized
+  one matrix at a time (zgeqrf and zungqr) and phase-fixed.  These are plan
+  2's draws, bit for bit.
+
+LAPACK's cost per matrix is mostly call overhead at small shapes, while
+Gram-Schmidt's grows with the block and leaves the cache first for tall
+blocks.  Per 4096-sample chunk of ``_boundary_stack`` (draw, QR and the
+copy into the output layout), in ms, numpy 2.4.6 with one BLAS thread on a
+2-core Intel Xeon, median of 7:
+
+    rows x cols  work  boundary            LAPACK  Gram-Schmidt
+       4 x 4       64  polydisc, m = 2       34.8      12.6
+       8 x 4      128  ball, m = 2           18.3       8.8
+      12 x 4      192  ball, m = 3           24.4      14.3
+      32 x 4      512  ball, m = 8           38.7      39.2
+       8 x 8      512  polydisc, m = 1       54.4      29.0
+      10 x 10    1000  polydisc, m = 1       74.6      47.6
+      16 x 8     1024  ball, m = 2           53.2      54.0
+      24 x 8     1536  ball, m = 3           78.3      83.8
+      16 x 16    4096  polydisc, m = 2      308.9     387.4
+
+Up to work 1000 no shape measured loses (32 x 4 ties); from 1024 on the
+tall ball blocks tie or lose, though square ones still win up to 12 x 12,
+so the crossover is 1000.  The benchmark's mc-small workload (work 64 to
+192) runs the Gram-Schmidt route, mc-large (16 x 16) the LAPACK route.
+
+Every boundary stack is handed out C-contiguous.  On the Gram-Schmidt route
+one copy both moves the batch axis first and writes the layout: the polydisc
+and the column ball as drawn, the row ball as the conjugate transpose of the
+column ball's blocks.  Each chunk reports its count, sum and second
+central moment, merged in chunk order (Chan, Golub and LeVeque 1979), so the
+standard error does not cancel when the integrand concentrates.
 
 A chunk's integrand (1/N) Tr(g(r_g X)* f(r_f X)) evaluates f and g in one
 prefix-trie walk of their words (``words._series_sums``), and evaluates f
@@ -64,7 +100,12 @@ __all__ = [
 # Chunk size is part of the stream plan: changing it changes the draws.
 CHUNK_SAMPLES = 4096
 # Bumped whenever the draws or the reduction of a fixed seed change.
-STREAM_PLAN = 2
+STREAM_PLAN = 3
+# Per-matrix QR work rows * cols**2 up to which _haar_columns orthonormalizes
+# by batched Gram-Schmidt rather than LAPACK QR.  Measured per 4096-sample
+# chunk (table in the module docstring): Gram-Schmidt wins or ties at every
+# shape up to 10 x 10 (1000) and ties or loses from 16 x 8 (1024) on.
+_GRAM_SCHMIDT_MAX_WORK = 1000
 
 _ENV_SEED = "NC_HARDY_SEED"
 DEFAULT_SEED = 424242
@@ -173,12 +214,40 @@ class MCEstimate:
 def _haar_columns(
     count: int, rows: int, cols: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """The first cols columns of count Haar unitaries of size rows.
+    """The first cols columns of count Haar unitaries of size rows, indexed
+    (count, rows, cols) but not always C-contiguous: callers copy them into
+    the layout they hand out.
 
-    A complex Ginibre block of shape (count, rows, cols), thin-QR-factorized,
-    with the phases of the diagonal of R divided out of Q's columns so the
-    factorization is the unique one with positive diagonal.
+    Both routes return the Q, with positive diagonal of R, of the thin QR
+    factorization of a complex Ginibre block.  The route is chosen by the
+    per-matrix QR work rows * cols**2 (see the module docstring for the
+    measured crossover); the routes draw different blocks from rng, so the
+    route is part of the stream plan.
+
+    Gram-Schmidt, work <= _GRAM_SCHMIDT_MAX_WORK: the block is drawn
+    batch-last, shape (cols, rows, count), with real and imaginary parts
+    interleaved, and its columns are orthonormalized in place by modified
+    Gram-Schmidt with one reorthogonalization pass ("twice is enough":
+    Giraud, Langou and Rozloznik 2005), each step over all count samples.
+    R's diagonal is the residual norms, real and positive, so there is no
+    phase to fix and no scale to apply.  The result is a transposed view.
+
+    LAPACK, larger work: the block is drawn as (count, rows, cols), scaled by
+    1/sqrt(2), thin-QR-factorized, and the phases of R's diagonal are divided
+    out of Q's columns.  The result is C-contiguous.
     """
+    if rows * cols * cols <= _GRAM_SCHMIDT_MAX_WORK:
+        q = rng.standard_normal((cols, rows, count, 2)).view(complex)[..., 0]
+        for j in range(cols):
+            v = q[j]
+            for _ in range(2):  # the second sweep is the reorthogonalization
+                for k in range(j):
+                    v -= q[k] * (q[k].conj() * v).sum(axis=0)
+            norm = np.sqrt(
+                np.square(v.real).sum(axis=0) + np.square(v.imag).sum(axis=0)
+            )
+            v /= np.where(norm == 0, 1.0, norm)
+        return q.transpose(2, 1, 0)
     z = np.empty((count, rows, cols), dtype=complex)
     z.real = rng.standard_normal((count, rows, cols))
     z.imag = rng.standard_normal((count, rows, cols))
@@ -202,26 +271,32 @@ def sample_haar_unitary(
         raise ValueError("N must be >= 1")
     rng = stream.generator()
     stack = _haar_columns(count if count is not None else 1, N, N, rng)
+    stack = np.ascontiguousarray(stack)
     return stack if count is not None else stack[0]
 
 
 def _boundary_stack(
     kind: BoundaryKind, N: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Boundary samples of shape (count, m, N, N).
+    """Boundary samples of shape (count, m, N, N), C-contiguous.
 
     polydisc: count * m Haar unitaries of size N.  ball_column: the mN x N
     first block column of a Haar unitary of size mN, split into its m blocks
     by a reshape.  ball_row: the adjoints of those blocks, i.e. the first
-    block row of the Haar unitary U* whose first block column was drawn.
+    block row of the Haar unitary U* whose first block column was drawn,
+    written as the conjugate transpose in the same one copy that makes the
+    column ball contiguous.
     """
     m = kind.m
     if kind.family == "polydisc":
-        return _haar_columns(count * m, N, N, rng).reshape(count, m, N, N)
+        return np.ascontiguousarray(
+            _haar_columns(count * m, N, N, rng).reshape(count, m, N, N)
+        )
     blocks = _haar_columns(count, m * N, N, rng).reshape(count, m, N, N)
     if kind.family == "ball_row":
-        return blocks.conj().transpose(0, 1, 3, 2)
-    return blocks
+        out = np.empty_like(blocks, order="C")
+        return np.conjugate(blocks.transpose(0, 1, 3, 2), out=out)
+    return np.ascontiguousarray(blocks)
 
 
 def sample_boundary(

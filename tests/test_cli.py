@@ -57,7 +57,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def _golden_cases() -> dict[str, list[str]]:
     """Output file name -> CLI arguments.  The exact outputs were captured before
     the `pairing` command's own grid loop was replaced by `hardy.pairing_grid`;
-    the Monte Carlo and `both` outputs were captured again under stream plan 2."""
+    the Monte Carlo and `both` outputs were captured again under stream plan 3."""
     f, g = str(GOLDEN / "f.json"), str(GOLDEN / "g.json")
     grid = ["--N", "2", "--N", "3", "--r", "0.5", "--r", "1.0"]
     sampled = ["--samples", "2000", "--seed", "7"]
