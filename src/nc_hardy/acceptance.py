@@ -31,13 +31,21 @@ from .weingarten import (
     pairing_moment_exact,
     sesquilinear_moment_exact,
 )
-from .words import MatrixTuple, NcSeries, Word, direct_sum, series_eval, similarity, spectral_theta
+from .words import (
+    MatrixTuple,
+    NcSeries,
+    Word,
+    all_words,
+    direct_sum,
+    series_eval,
+    similarity,
+    spectral_theta,
+)
 
 __all__ = [
     "CriterionResult",
     "CRITERIA",
     "run_all",
-    "all_words",
     "cycle_type",
     "random_series",
     "random_tuple",
@@ -76,15 +84,6 @@ def _finish(
         seconds=seconds,
         limit_seconds=limit,
     )
-
-
-def all_words(m: int, max_len: int) -> list[Word]:
-    out = [Word()]
-    level = [()]
-    for _ in range(max_len):
-        level = [tup + (k,) for tup in level for k in range(1, m + 1)]
-        out.extend(Word(tup) for tup in level)
-    return out
 
 
 def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:

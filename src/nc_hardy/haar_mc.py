@@ -76,6 +76,7 @@ from .words import (
     NcSeries,
     Word,
     _series_sums,
+    _walk_words,
 )
 
 __all__ = [
@@ -145,8 +146,8 @@ class SeededStream:
         return SeededStream(self.seed, self.stream_id + offset)
 
 
-def default_stream(seed: int | None = None, stream_id: int = 0) -> SeededStream:
-    return SeededStream(default_seed() if seed is None else seed, stream_id)
+def default_stream() -> SeededStream:
+    return SeededStream(default_seed())
 
 
 @dataclass(frozen=True)
@@ -463,23 +464,6 @@ class FreenessReport:
     final_within_3se: bool
 
 
-def _power_stack(
-    xs: np.ndarray, letter: int, power: int, cache: dict[tuple[int, int], np.ndarray]
-) -> np.ndarray:
-    got = cache.get((letter, power))
-    if got is not None:
-        return got
-    if power < 0:
-        pos = _power_stack(xs, letter, -power, cache)
-        out = pos.conj().transpose(0, 2, 1)
-    elif power == 1:
-        out = xs[:, letter - 1]
-    else:
-        out = _power_stack(xs, letter, power - 1, cache) @ xs[:, letter - 1]
-    cache[(letter, power)] = out
-    return out
-
-
 def freeness_diagnostic(
     factors: Sequence[FreenessFactor],
     N_grid: Sequence[int],
@@ -493,6 +477,10 @@ def freeness_diagnostic(
     shrink toward zero as N grows; the report records the |mean| trend and
     whether the final estimate is within three standard errors of zero.
     Consecutive factors must come from different ensembles.
+
+    Each chunk gets every power U^|j| it needs from one word-product walk
+    (``words._walk_words``) over the words (letter,) * |j|; a negative power
+    j takes the adjoint, U^j = (U^|j|)*.
     """
     if not factors:
         raise FreenessStructureError("need at least one factor")
@@ -506,15 +494,17 @@ def freeness_diagnostic(
     m = max(fac.letter for fac in factors)
     kind = BoundaryKind.polydisc(m)
     stream = stream if stream is not None else default_stream()
+    power_words = {Word((fac.letter,) * abs(j)) for fac in factors for j, _ in fac.terms}
 
     def make_integrand(n: int) -> Callable[[np.ndarray], np.ndarray]:
         def integrand(xs: np.ndarray) -> np.ndarray:
-            cache: dict[tuple[int, int], np.ndarray] = {}
+            powers = dict(_walk_words(xs, power_words))
             running: np.ndarray | None = None
             for fac in factors:
                 mat = np.zeros((xs.shape[0], n, n), dtype=complex)
                 for power, coeff in fac.terms:
-                    mat += coeff * _power_stack(xs, fac.letter, power, cache)
+                    u = powers[Word((fac.letter,) * abs(power))]
+                    mat += coeff * (u if power > 0 else u.conj().transpose(0, 2, 1))
                 running = mat if running is None else running @ mat
             return np.einsum("bii->b", running) / n
 

@@ -8,8 +8,8 @@ values carry a standard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import sqrt
+from dataclasses import dataclass, replace
+from math import isfinite, sqrt
 from typing import Literal, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ from .haar_mc import SeededStream, default_stream, mc_pairing, mc_recovery_integ
 from .weingarten import (
     BoundaryKind,
     WeingartenTable,
-    pairing_moment_exact,
+    pairing_moment_exact,  # not called here; perfbench/tracing.py wraps this name
     sesquilinear_moment_exact,
 )
 from .words import (
@@ -26,6 +26,7 @@ from .words import (
     MatrixTuple,
     NcSeries,
     Word,
+    _check_weight,
     series_eval,
     spectral_theta,
     word_eval,
@@ -114,6 +115,7 @@ def pairing_grid(
     """
     if engine not in ("exact", "mc"):
         raise ValueError(f"unknown engine {engine!r}")
+    _check_radii(r_grid)
     if engine == "mc":
         stream = stream if stream is not None else default_stream()
     cells = []
@@ -139,6 +141,12 @@ def _check_pair(f: NcSeries, g: NcSeries, kind: SpaceKind) -> None:
         raise AlphabetMismatchError("series and space alphabets differ")
 
 
+def _check_radii(r_grid: Sequence[float]) -> None:
+    for r in r_grid:
+        if not isfinite(r):
+            raise ValueError(f"r must be finite, got {r}")
+
+
 def _strata(f: NcSeries, g: NcSeries) -> dict[int, complex]:
     """Length-graded sums sum_{|w|=l} conj(g_w) f_w over the common support."""
     out: dict[int, complex] = {}
@@ -152,11 +160,7 @@ def _strata(f: NcSeries, g: NcSeries) -> dict[int, complex]:
 
 def inner_product(f: NcSeries, g: NcSeries, kind: SpaceKind) -> complex:
     """Coefficient-side inner product: sum_w conj(g_w) f_w, ball weighted by m^{-|w|}."""
-    _check_pair(f, g, kind)
-    total = 0j
-    for l, stratum in _strata(f, g).items():
-        total += stratum / kind.stratum_divisor(l)
-    return total
+    return radial_pairing(f, g, kind, (1.0,))[0][1]
 
 
 def radial_pairing(
@@ -167,6 +171,7 @@ def radial_pairing(
     At r = 1 this equals inner_product(f, g, kind).
     """
     _check_pair(f, g, kind)
+    _check_radii(r_grid)
     strata = _strata(f, g)
     out = []
     for r in r_grid:
@@ -190,24 +195,6 @@ class RecoveryReport:
     richardson: complex | None
 
 
-def _exact_recovery_value(
-    f: NcSeries, w: Word, kind: SpaceKind, N: int, table: WeingartenTable | None
-) -> complex:
-    # Only words with |v| = |w| pair nontrivially, and on that stratum the
-    # r^{|v|} scale cancels the r^{-|w|} prefactor identically, so r never
-    # enters the exact route.
-    boundary = kind.boundary()
-    prefactor = kind.stratum_divisor(len(w))
-    raw = 0j
-    for v, fv in f.items():
-        if len(v) != len(w):
-            continue
-        pair = pairing_moment_exact(w, v, boundary, N, table)
-        if pair:
-            raw += fv * (pair / N)
-    return prefactor * raw
-
-
 def coeff_recover(
     f: NcSeries,
     w: Word,
@@ -228,6 +215,11 @@ def coeff_recover(
     The report keeps the whole N-trend; `recovered` is the value at the largest
     N.  Optional single Richardson step assumes an a + b/N^2 trend on the two
     largest levels.
+
+    The exact engine reads pairing_grid(f, X^w) at r = 1, times m^{|w|} on the
+    ball: only words v with |v| = |w| pair nontrivially, and on that stratum
+    the r^{|v|} scale cancels the r^{-|w|} prefactor identically, so r never
+    enters the exact route.  Each cell still records the caller's r.
     """
     if not 0 < r <= 1:
         raise ValueError("r must lie in (0, 1]")
@@ -242,9 +234,10 @@ def coeff_recover(
     prefactor = kind.stratum_divisor(len(w)) / r ** len(w)
     cells = []
     if engine == "exact":
-        for n in levels:
-            value = _exact_recovery_value(f, w, kind, n, table)
-            cells.append(GridCell(r=r, N=n, value=value, std_error=None, exact=True))
+        divisor = kind.stratum_divisor(len(w))
+        monomial = NcSeries.monomial(f.m, w)
+        for cell in pairing_grid(f, monomial, boundary, [1.0], levels, table=table):
+            cells.append(replace(cell, r=r, value=divisor * cell.value))
     elif engine == "mc":
         stream = stream if stream is not None else default_stream()
         for pos, n in enumerate(levels):
@@ -375,8 +368,7 @@ def upsilon_membership(
     Strata are accumulated to max_degree in all cases so the verdict carries
     the full partial-sum profile.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_weight(p)
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     theta = spectral_theta(X, p)
@@ -398,39 +390,21 @@ def upsilon_membership(
             zero_at = l
             break
     checked = len(stratum_norms) - 1
+    status, bound, diverged_at = "inconclusive", None, None
     if theta < 1.0:
-        return UpsilonVerdict(
-            status="converged",
-            bound=1.0 / (1.0 - theta),
-            diverged_at=None,
-            checked_degree=checked,
-            partial_sum_norms=tuple(partial_norms),
-            theta=theta,
-        )
-    if zero_at is not None:
-        return UpsilonVerdict(
-            status="converged",
-            bound=partial_norms[-1],
-            diverged_at=None,
-            checked_degree=checked,
-            partial_sum_norms=tuple(partial_norms),
-            theta=theta,
-        )
-    for l in range(1, checked + 1):
-        growing = stratum_norms[l] >= stratum_norms[l - 1] * (1 - 1e-12)
-        if growing and partial_norms[l] >= divergence_threshold:
-            return UpsilonVerdict(
-                status="diverged",
-                bound=None,
-                diverged_at=l,
-                checked_degree=checked,
-                partial_sum_norms=tuple(partial_norms),
-                theta=theta,
-            )
+        status, bound = "converged", 1.0 / (1.0 - theta)
+    elif zero_at is not None:
+        status, bound = "converged", partial_norms[-1]
+    else:
+        for l in range(1, checked + 1):
+            growing = stratum_norms[l] >= stratum_norms[l - 1] * (1 - 1e-12)
+            if growing and partial_norms[l] >= divergence_threshold:
+                status, diverged_at = "diverged", l
+                break
     return UpsilonVerdict(
-        status="inconclusive",
-        bound=None,
-        diverged_at=None,
+        status=status,
+        bound=bound,
+        diverged_at=diverged_at,
         checked_degree=checked,
         partial_sum_norms=tuple(partial_norms),
         theta=theta,
@@ -461,8 +435,7 @@ def kernel_eval(
     """
     if X.m != Y.m:
         raise AlphabetMismatchError("kernel arguments need one alphabet size")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_weight(p)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     n, mm = X.n, Y.n
@@ -541,8 +514,7 @@ def reproduce_check(
     """
     if f.m != Y.m:
         raise AlphabetMismatchError("series and tuple alphabets differ")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_weight(p)
     e1 = np.asarray(e1, dtype=complex).reshape(-1)
     e2 = np.asarray(e2, dtype=complex).reshape(-1)
     if e1.shape[0] != Y.n or e2.shape[0] != Y.n:

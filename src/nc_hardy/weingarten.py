@@ -559,15 +559,22 @@ def sesquilinear_moment_exact(
     """Exact boundary integral of (1/N) Tr(g(rX)* f(rX)).
 
     Bilinear expansion over word pairs into pairing_moment_exact, with the
-    scale r^{|w|+|v|} per pair.  Real for f = g; complex in general.
+    scale r^{|w|+|v|} per pair, g-major and f-minor in items() order.  Pairs
+    of unequal length are skipped: every boundary pairs them to an exact
+    zero (Collins-Sniady 2006), so the same nonzero terms are added in the
+    same order.  Real for f = g; complex in general.
     """
     if f.m != g.m:
         raise AlphabetMismatchError("series alphabets differ")
     if f.m != kind.m:
         raise AlphabetMismatchError("series and boundary alphabets differ")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     total = 0j
     for wv, gw in g.items():
         for vv, fv in f.items():
+            if len(wv) != len(vv):
+                continue
             pair = pairing_moment_exact(wv, vv, kind, N, table)
             if pair:
                 total += gw.conjugate() * fv * (r ** (len(wv) + len(vv))) * (pair / N)

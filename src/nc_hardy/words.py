@@ -20,6 +20,7 @@ __all__ = [
     "Word",
     "EMPTY_WORD",
     "concat",
+    "all_words",
     "NcSeries",
     "MatrixTuple",
     "word_eval",
@@ -110,6 +111,16 @@ def _as_word(key: WordLike) -> Word:
 
 def concat(u: Word, v: Word) -> Word:
     return u.concat(v)
+
+
+def all_words(m: int, max_len: int) -> list[Word]:
+    """Every word over {1..m} of length at most max_len, in graded order."""
+    out = [Word()]
+    level = [()]
+    for _ in range(max_len):
+        level = [tup + (k,) for tup in level for k in range(1, m + 1)]
+        out.extend(Word(tup) for tup in level)
+    return out
 
 
 class NcSeries:
@@ -277,12 +288,6 @@ class MatrixTuple:
     def entries(self) -> tuple[np.ndarray, ...]:
         return self._entries
 
-    def entry(self, letter: int) -> np.ndarray:
-        """Component for a 1-based letter."""
-        if not 1 <= letter <= self.m:
-            raise AlphabetMismatchError(f"letter {letter} outside alphabet [1, {self.m}]")
-        return self._entries[letter - 1]
-
     def scale(self, factor: complex) -> "MatrixTuple":
         return MatrixTuple([factor * a for a in self._entries])
 
@@ -291,8 +296,9 @@ class MatrixTuple:
 
 
 # Batched evaluation: xs has shape (count, m, n, n), one matrix tuple per
-# batch entry.  One walk serves word_eval, series_eval and the Monte Carlo
-# integrand: it visits the prefix trie of every word to be evaluated one
+# batch entry.  One walk serves word_eval, series_eval,
+# series_eval_tail_bounded and the Monte Carlo integrands (pairings and the
+# freeness powers): it visits the prefix trie of every word to be evaluated one
 # length at a time.  A length-1 product is the letter's own matrix slice, with
 # no identity product; each longer product is its parent prefix's product
 # times one letter.  Only prefixes with children are kept, and a level is
@@ -353,10 +359,15 @@ def series_eval(f: NcSeries, X: MatrixTuple, r: float = 1.0) -> np.ndarray:
     return _series_sums(np.stack(X.entries)[None], [(f, r)])[0][0]
 
 
+def _check_weight(p: float) -> None:
+    """Reject a weight p that is not a finite positive number."""
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"p must be finite and positive, got {p}")
+
+
 def l2p_norm(f: NcSeries, p: float) -> float:
     """Weighted coefficient norm sqrt( sum_l p^{-l} sum_{|w|=l} |f_w|^2 )."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_weight(p)
     return math.sqrt(sum(abs(c) ** 2 / p ** len(w) for w, c in f.coeffs.items()))
 
 
@@ -404,25 +415,6 @@ def spectral_theta(X: MatrixTuple, p: float) -> float:
     return float(p * np.linalg.eigvalsh(s)[-1])
 
 
-def _enumerate_partial_sum(
-    coeff_fn: Callable[[Word], complex],
-    X: MatrixTuple,
-    max_degree: int,
-) -> np.ndarray:
-    total = complex(coeff_fn(EMPTY_WORD)) * np.eye(X.n, dtype=complex)
-    level: list[tuple[Word, np.ndarray]] = [(EMPTY_WORD, np.eye(X.n, dtype=complex))]
-    for _ in range(max_degree):
-        nxt: list[tuple[Word, np.ndarray]] = []
-        for w, mat in level:
-            for k in range(1, X.m + 1):
-                word = w.concat(Word((k,)))
-                prod = mat @ X.entries[k - 1]
-                nxt.append((word, prod))
-                total += complex(coeff_fn(word)) * prod
-        level = nxt
-    return total
-
-
 def series_eval_tail_bounded(
     source: NcSeries | Callable[[Word], complex],
     X: MatrixTuple,
@@ -437,14 +429,16 @@ def series_eval_tail_bounded(
     geometric word-sum bound gives stratum norms <= ||f||_{2,p} * theta^{l/2}, so
     the discarded tail is bounded by ||f||_{2,p} * theta^{(L+1)/2} / (1 - sqrt(theta)).
 
-    The source is either a finite NcSeries (its norm is computed) or a callable
-    word -> coefficient together with an explicit coeff_norm = ||f||_{2,p}.
-    Enumerates all m^l words per level, up to max_degree for a callable and
-    up to min(max_degree, degree) for an NcSeries, whose coefficients vanish
-    beyond its degree; intended for small m and max_degree.
+    The source is either a finite NcSeries (its norm is computed, so coeff_norm
+    must not be given) or a callable word -> coefficient together with an
+    explicit finite coeff_norm = ||f||_{2,p} >= 0.  The sum starts from the
+    empty word's term and adds every one of the m^l words of each length l, in
+    graded order, as one word-product walk (the one series_eval uses): up to
+    max_degree for a callable and up to min(max_degree, degree) for an
+    NcSeries, whose coefficients vanish beyond its degree.  Intended for small
+    m and max_degree.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_weight(p)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     theta = spectral_theta(X, p)
@@ -454,6 +448,8 @@ def series_eval_tail_bounded(
             "raise the truncation degree check via upsilon_membership instead"
         )
     if isinstance(source, NcSeries):
+        if coeff_norm is not None:
+            raise ValueError("coeff_norm is computed for an NcSeries source; do not pass it")
         if source.m != X.m:
             raise AlphabetMismatchError("series and tuple alphabets differ")
         norm_val = l2p_norm(source, p)
@@ -462,9 +458,13 @@ def series_eval_tail_bounded(
     else:
         if coeff_norm is None:
             raise ValueError("coeff_norm is required for callable coefficient sources")
+        if not (math.isfinite(coeff_norm) and coeff_norm >= 0):
+            raise ValueError(f"coeff_norm must be finite and >= 0, got {coeff_norm}")
         norm_val = float(coeff_norm)
         coeff_fn = source
         depth = max_degree
-    value = _enumerate_partial_sum(coeff_fn, X, depth)
+    value = complex(coeff_fn(EMPTY_WORD)) * np.eye(X.n, dtype=complex)
+    for w, prod in _walk_words(np.stack(X.entries)[None], all_words(X.m, depth)[1:]):
+        value += complex(coeff_fn(w)) * prod[0]
     tail = norm_val * theta ** ((max_degree + 1) / 2) / (1.0 - math.sqrt(theta))
     return value, tail

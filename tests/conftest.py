@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import product as iterproduct
 
 from nc_hardy import BoundaryKind, Word, haar_entry_moment
-from nc_hardy.acceptance import all_words, cycle_type, random_series, random_tuple  # noqa: F401
+from nc_hardy.acceptance import cycle_type, random_series, random_tuple  # noqa: F401
+from nc_hardy.words import all_words  # noqa: F401
 
 
 def brute_pairing(w: Word, v: Word, kind: BoundaryKind, N: int) -> Fraction:

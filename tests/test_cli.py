@@ -214,6 +214,10 @@ class TestPairingCommand:
         args = ["pairing", crossterm_file, crossterm_file, "--N", "0", "--samples", "100"]
         for engine in ("exact", "mc"):
             assert main([*args, "--engine", engine]) == 2
+        # a non-finite radius is refused the same way, before any cell runs
+        args = ["pairing", crossterm_file, crossterm_file, "--r", "nan", "--samples", "100"]
+        for engine in ("exact", "mc", "both"):
+            assert main([*args, "--engine", engine]) == 2
 
 
 class TestInnerCommand:
@@ -266,6 +270,11 @@ class TestUpsilonCommand:
         assert res.returncode == 1
         assert "finite" in res.stderr
 
+    def test_non_finite_p_is_a_precondition_error(self, tmp_path):
+        path = write_tuple(tmp_path, "half.json", [0.5 * np.eye(2)])
+        for p in ("nan", "inf"):
+            assert main(["upsilon", path, "--p", p]) == 2
+
 
 class TestKernelCommand:
     def test_scalar_geometric(self, tmp_path):
@@ -274,6 +283,11 @@ class TestKernelCommand:
         data = json.loads(run_cli("kernel", x, y, "--max-degree", "30").stdout)
         assert abs(data["value_re"][0][0] - 1.25) < 1e-6
         assert data["tail_bound"] < 1e-6
+
+    def test_non_finite_p_is_a_precondition_error(self, tmp_path):
+        x = write_tuple(tmp_path, "x.json", [np.array([[0.5]])])
+        for p in ("nan", "inf"):
+            assert main(["kernel", x, x, "--p", p]) == 2
 
 
 class TestProfileCommand:

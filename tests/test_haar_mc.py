@@ -336,6 +336,26 @@ class TestFreeness:
         est = report.rows[0].estimate
         assert abs(est.mean) <= 3 * est.std_error + 1e-12
 
+    def test_bits_pinned(self):
+        # three letters, negative and repeated powers, two chunks per row;
+        # digest of the little-endian (re, im, std_error) rows captured before
+        # the powers moved onto the shared word-product walk
+        factors = [
+            FreenessFactor(1, {1: 1.0, -2: 0.5j}),
+            FreenessFactor(2, {2: 1.0, -1: -0.25}),
+            FreenessFactor(3, {-2: 0.5, 3: 1.0 - 0.5j}),
+            FreenessFactor(1, {-2: 1.0, 2: 0.3}),
+        ]
+        for workers in (1, 2):
+            report = freeness_diagnostic(factors, [2, 4], 5000, SeededStream(55), workers)
+            stats = [
+                (row.estimate.mean.real, row.estimate.mean.imag, row.estimate.std_error)
+                for row in report.rows
+            ]
+            assert hashlib.sha256(np.array(stats, dtype="<f8").tobytes()).hexdigest() == (
+                "5425f083d5f81d084c73a001ee95d3a52e7c79c412d390e5b89a570407d1dee2"
+            )
+
     def test_structure_errors(self):
         with pytest.raises(FreenessStructureError):
             FreenessFactor(1, {0: 1.0})

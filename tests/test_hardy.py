@@ -90,6 +90,11 @@ class TestRadialPairing:
         vals = radial_pairing(CROSSTERM, NcSeries.zero(2), SpaceKind.polydisc(2), [0.5])
         assert vals[0][1] == 0j
 
+    def test_non_finite_r_rejected(self):
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                radial_pairing(CROSSTERM, CROSSTERM, SpaceKind.polydisc(2), [0.5, r])
+
 
 class TestCoeffRecover:
     def test_linear_term_exact_everywhere(self):
@@ -166,6 +171,19 @@ class TestPairingGrid:
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             pairing_grid(self.F, self.G, BoundaryKind.polydisc(2), [1.0], [2], "bogus")
+
+    def test_non_finite_r_rejected_before_any_cell(self, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", no_cell)
+        for engine in ("exact", "mc"):
+            for r in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    pairing_grid(
+                        self.F, self.G, BoundaryKind.polydisc(2), [0.5, r], [2], engine
+                    )
 
 
 class TestBoundaryNormProfile:
@@ -258,8 +276,9 @@ class TestUpsilonMembership:
             assert verdict.bound + 1e-9 >= max(sums)
 
     def test_p_validation(self):
-        with pytest.raises(ValueError):
-            upsilon_membership(MatrixTuple([np.eye(2)]), 0.0)
+        for p in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                upsilon_membership(MatrixTuple([np.eye(2)]), p)
 
 
 class TestKernel:
@@ -370,6 +389,13 @@ class TestKernel:
         assert np.allclose(gram, want, rtol=1e-12, atol=1e-12)
 
 
+    def test_p_validation(self):
+        x = MatrixTuple([0.5 * np.eye(2)])
+        for p in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                kernel_eval(x, x, p)
+
+
 class TestReproduceCheck:
     def test_zero_series(self):
         y = MatrixTuple([0.2 * np.eye(2), np.zeros((2, 2))])
@@ -399,6 +425,12 @@ class TestReproduceCheck:
         y = MatrixTuple([np.eye(2), np.eye(2)])
         with pytest.raises(ValueError):
             reproduce_check(NcSeries.zero(2), y, np.ones(3), np.ones(2), 1.0)
+
+    def test_p_validation(self):
+        y = MatrixTuple([np.eye(2), np.eye(2)])
+        for p in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                reproduce_check(NcSeries.zero(2), y, np.ones(2), np.ones(2), p)
 
 
 class TestRadialBoundaryProfiles:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_series, random_tuple
+from conftest import all_words, random_series, random_tuple
 from nc_hardy import (
     AlphabetMismatchError,
     EMPTY_WORD,
@@ -290,8 +290,9 @@ class TestL2pNorm:
         assert abs(l2p_norm(f, 1.0) ** 2 - direct) <= 1e-13 * max(1.0, direct)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            l2p_norm(NcSeries.zero(1), 0.0)
+        for p in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                l2p_norm(NcSeries.zero(1), p)
 
 
 class TestTailBoundedEval:
@@ -359,6 +360,18 @@ class TestTailBoundedEval:
         theta = spectral_theta(X, 1.0)
         assert tail == l2p_norm(f, 1.0) * theta ** 7.5 / (1.0 - math.sqrt(theta))
 
+        # A callable source sums every word through its depth, in graded
+        # order, each product built left to right from its first letter.
+        coeff = lambda w: complex(0.5 ** len(w), 0.1 * sum(w.letters) - 0.2)
+        value, _ = series_eval_tail_bounded(coeff, X, 1.0, 4, coeff_norm=3.0)
+        expected = coeff(Word()) * np.eye(3, dtype=complex)
+        for w in all_words(2, 4)[1:]:
+            prod = X.entries[w.letters[0] - 1]
+            for k in w.letters[1:]:
+                prod = prod @ X.entries[k - 1]
+            expected += coeff(w) * prod
+        assert np.array_equal(value, expected)
+
     def test_spectral_precondition(self):
         X = MatrixTuple([np.eye(2)])
         with pytest.raises(SpectralConditionError):
@@ -368,3 +381,12 @@ class TestTailBoundedEval:
         X = MatrixTuple([np.array([[0.1]])])
         with pytest.raises(ValueError):
             series_eval_tail_bounded(lambda w: 1.0, X, 1.0, 3)
+        # the norm must be finite and nonnegative, and only a callable takes one
+        for norm in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                series_eval_tail_bounded(lambda w: 1.0, X, 1.0, 3, coeff_norm=norm)
+        with pytest.raises(ValueError):
+            series_eval_tail_bounded(NcSeries.zero(1), X, 1.0, 3, coeff_norm=1.0)
+        for p in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                series_eval_tail_bounded(NcSeries.zero(1), X, p, 3)
