@@ -61,6 +61,7 @@ evaluation is not part of the stream plan.
 
 from __future__ import annotations
 
+import cmath
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -433,6 +434,8 @@ class FreenessFactor:
         cleaned = {}
         for power, coeff in terms.items():
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise FreenessStructureError(f"power {power}: coefficient {c} is not finite")
             if c == 0:
                 continue
             if power == 0:

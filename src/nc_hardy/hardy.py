@@ -371,6 +371,8 @@ def upsilon_membership(
     _check_weight(p)
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    if not isfinite(divergence_threshold):
+        raise ValueError(f"divergence_threshold must be finite, got {divergence_threshold}")
     theta = spectral_theta(X, p)
     n = X.n
     stratum = np.eye(n, dtype=complex)

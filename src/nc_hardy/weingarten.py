@@ -2,12 +2,14 @@
 
 Weingarten coefficients are obtained from Collins' character formula, with
 the characters of the symmetric group computed by the Murnaghan-Nakayama
-rule in integers, so every value produced here is an exact Fraction.  It is
-defined for every N >= 1: for N < n it is the Gram pseudo-inverse, with which
-the Weingarten formula still holds (Collins-Matsumoto).  On top of that sit
-the entry-moment formula and the boundary trace pairings used by the
-Hardy-space layer: products of independent unitaries (polydisc boundary) and
-block columns/rows of a single larger unitary (ball boundaries).
+rule in integers, once per order and process.  Each table entry and each
+pairing is summed in Python ints over one common denominator and returned as
+a single Fraction, so every value produced here is exact.  It is defined for
+every N >= 1: for N < n it is the Gram pseudo-inverse, with which the
+Weingarten formula still holds (Collins-Matsumoto).  On top of that sit the
+entry-moment formula and the boundary trace pairings used by the Hardy-space
+layer: products of independent unitaries (polydisc boundary) and block
+columns/rows of a single larger unitary (ball boundaries).
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product as iterproduct
-from math import factorial
+from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -109,65 +112,85 @@ def _mn_character(
     return total
 
 
-_Characters = tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[tuple[int, ...], int]]]
+_Characters = tuple[
+    tuple[tuple[int, ...], ...], Mapping[tuple[int, ...], Mapping[tuple[int, ...], int]]
+]
 
 
+@cache
 def _characters(n: int) -> _Characters:
-    """The partitions of n and the character table chi[lam][mu] of S_n."""
-    parts = partitions(n)
+    """The partitions of n and the character table chi[lam][mu] of S_n.
+
+    Built once per order and process, and shared by every WeingartenTable:
+    the table depends on n alone, not on a dimension.  It is read-only, so
+    no caller can alter the shared constants.
+    """
+    parts = tuple(partitions(n))
     memo: dict[tuple, int] = {}
-    return parts, {lam: {mu: _mn_character(lam, mu, memo) for mu in parts} for lam in parts}
+    chi = {
+        lam: MappingProxyType({mu: _mn_character(lam, mu, memo) for mu in parts})
+        for lam in parts
+    }
+    return parts, MappingProxyType(chi)
 
 
-def _schur_at_ones(lam: tuple[int, ...], N: int) -> Fraction:
-    """s_lam(1^N) = prod over the boxes of (N + content) / hook; 0 iff len(lam) > N."""
-    conj = [sum(1 for row in lam if row > j) for j in range(lam[0])]
-    num = den = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            num *= N + j - i
-            den *= (row - j) + (conj[j] - i) - 1
-    return Fraction(num, den)
+def _content_product(lam: tuple[int, ...], N: int) -> int:
+    """P_lam(N) = prod over the boxes of lam of (N + content); 0 iff len(lam) > N.
+
+    With it s_lam(1^N) = chi^lam(1) P_lam(N) / n!.
+    """
+    return prod(N + j - i for i, row in enumerate(lam) for j in range(row))
 
 
 def _character_sums(
-    n: int, chars: _Characters, rows: int, weight: Callable[[tuple[int, ...], int], Fraction]
+    n: int, weights: Sequence[tuple[tuple[int, ...], int, int]]
 ) -> dict[tuple[int, ...], Fraction]:
-    """The class function mu -> sum_lam weight(lam, chi^lam(1)) chi^lam(mu), over
-    the partitions lam of n with at most rows rows."""
-    parts, chi = chars
+    """The class function mu -> (1/n!) sum_lam chi^lam(1) chi^lam(mu) a_lam / b_lam
+    over the given (lam, a_lam, b_lam) with b_lam > 0.
+
+    The sum runs in integers over the common denominator lcm_lam b_lam, with
+    one Fraction per cycle type.
+    """
+    parts, chi = _characters(n)
     ident = (1,) * n
-    lams = [lam for lam in parts if len(lam) <= rows]
-    w = {lam: weight(lam, chi[lam][ident]) for lam in lams}
-    return {mu: sum((w[lam] * chi[lam][mu] for lam in lams), Fraction(0)) for mu in parts}
+    den = lcm(*(b for _, _, b in weights))
+    rows = [(chi[lam], chi[lam][ident] * a * (den // b)) for lam, a, b in weights]
+    whole = factorial(n) * den
+    return {mu: Fraction(sum(row[mu] * c for row, c in rows), whole) for mu in parts}
 
 
-def _wg_values(n: int, N: int, chars: _Characters) -> dict[tuple[int, ...], Fraction]:
+def _wg_values(n: int, N: int) -> dict[tuple[int, ...], Fraction]:
     """Weingarten values by cycle type at order n, dimension N >= 1.
 
     Collins' character formula: Wg(N, mu) = (1/n!^2) sum_lam chi^lam(1)^2
-    chi^lam(mu) / s_lam(1^N), over the lam with s_lam(1^N) != 0.  For N < n
-    that drops the lam with more than N rows and gives the Moore-Penrose
-    pseudo-inverse of the singular Gram matrix (N^{#(a b^-1)}).
+    chi^lam(mu) / s_lam(1^N), over the lam with s_lam(1^N) != 0.  With
+    s_lam(1^N) = chi^lam(1) P_lam(N) / n! this is (1/n!) sum_lam chi^lam(1)
+    chi^lam(mu) / P_lam(N), summed over lcm_lam P_lam(N).  For N < n it drops
+    the lam with more than N rows and gives the Moore-Penrose pseudo-inverse
+    of the singular Gram matrix (N^{#(a b^-1)}).
     """
-    scale = factorial(n) ** 2
-    weight = lambda lam, dim: dim * dim / (scale * _schur_at_ones(lam, N))
-    return _character_sums(n, chars, N, weight)
+    return _character_sums(
+        n, [(lam, 1, _content_product(lam, N)) for lam in _characters(n)[0] if len(lam) <= N]
+    )
 
 
-def _free_sum_values(
-    n: int, M: int, N: int, chars: _Characters
-) -> dict[tuple[int, ...], Fraction]:
+def _free_sum_values(n: int, M: int, N: int) -> dict[tuple[int, ...], Fraction]:
     """K(y) = sum_{pi in S_n} Wg(M, pi) N^{#(y pi)} for each cycle type of y.
 
     Both factors are class functions: Wg(M, .) by Collins' formula, and
     N^{#(.)} = sum_lam chi^lam s_lam(1^N) by Schur-Weyl duality.  Their
-    convolution is (1/n!) sum_lam chi^lam(1) chi^lam(y) s_lam(1^N) / s_lam(1^M),
-    over the lam of Wg(M, .).
+    convolution is (1/n!) sum_lam chi^lam(1) chi^lam(y) s_lam(1^N) / s_lam(1^M)
+    = (1/n!) sum_lam chi^lam(1) chi^lam(y) P_lam(N) / P_lam(M), over the lam of
+    Wg(M, .), summed over lcm_lam P_lam(M).
     """
-    scale = factorial(n)
-    weight = lambda lam, dim: dim * _schur_at_ones(lam, N) / (scale * _schur_at_ones(lam, M))
-    return _character_sums(n, chars, M, weight)
+    return _character_sums(
+        n,
+        [
+            (lam, _content_product(lam, N), _content_product(lam, M))
+            for lam in _characters(n)[0]
+            if len(lam) <= M
+        ],
+    )
 
 
 class WeingartenTable:
@@ -175,9 +198,11 @@ class WeingartenTable:
     and of the free-permutation sums of Wg, for every order n <= max_n and
     every dimension N >= 1.
 
-    Each entry is a sum over the partitions lam of n of S_n characters times a
-    ratio of Schur values s_lam(1^N), so no permutation is enumerated.  The
-    character table of S_n is built once per order and shared by its entries.
+    Each entry is a sum over the partitions lam of n of S_n characters over
+    content products P_lam, so no permutation is enumerated; it is summed in
+    integers over one common denominator and stored as one Fraction per cycle
+    type.  The character tables of S_n are process-wide constants, built once
+    per order and shared by every table.
 
     Single writer, concurrent readers: inserts happen under a lock, lookups are
     plain dict reads on fully built per-key sub-tables.  Readers get read-only
@@ -187,7 +212,6 @@ class WeingartenTable:
     max_n = 6
 
     def __init__(self) -> None:
-        self._characters: dict[int, _Characters] = {}
         self._values: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
         self._free_sums: dict[tuple[int, int, int], dict[tuple[int, ...], Fraction]] = {}
         self._lock = threading.Lock()
@@ -201,22 +225,21 @@ class WeingartenTable:
                 got = store.setdefault(key, computed)
         return got
 
-    def _character_table(self, n: int, *dims: int) -> _Characters:
-        """The characters of S_n, once the order and the dimensions are checked."""
+    def _check(self, n: int, *dims: int) -> None:
+        """Reject an order outside [1, max_n] or a dimension below 1."""
         if not 1 <= n <= self.max_n:
             raise MultiplicityLimitError(
                 f"order n = {n} outside supported range [1, {self.max_n}]"
             )
         if min(dims) < 1:
             raise ValueError(f"dimensions must be >= 1 (got {', '.join(map(str, dims))})")
-        return self._cached(self._characters, n, lambda: _characters(n))
 
     def values(self, n: int, N: int) -> Mapping[tuple[int, ...], Fraction]:
         """All Wg(N, .) of order n, keyed by cycle type."""
         got = self._values.get((n, N))
         if got is None:
-            chars = self._character_table(n, N)
-            got = self._cached(self._values, (n, N), lambda: _wg_values(n, N, chars))
+            self._check(n, N)
+            got = self._cached(self._values, (n, N), lambda: _wg_values(n, N))
         return MappingProxyType(got)
 
     def free_sums(self, n: int, M: int, N: int) -> Mapping[tuple[int, ...], Fraction]:
@@ -230,9 +253,9 @@ class WeingartenTable:
         """
         got = self._free_sums.get((n, M, N))
         if got is None:
-            chars = self._character_table(n, M, N)
+            self._check(n, M, N)
             got = self._cached(
-                self._free_sums, (n, M, N), lambda: _free_sum_values(n, M, N, chars)
+                self._free_sums, (n, M, N), lambda: _free_sum_values(n, M, N)
             )
         return MappingProxyType(got)
 
@@ -428,8 +451,18 @@ def _add_edges(
     return ends, closed
 
 
+def _over_common_denominator(
+    values: Mapping[tuple[int, ...], Fraction],
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Integer numerators of a table's values over the lcm d of their
+    denominators, and d."""
+    d = lcm(*(x.denominator for x in values.values()))
+    return {ct: x.numerator * (d // x.denominator) for ct, x in values.items()}, d
+
+
 def _close_free_letter(
-    states: dict[tuple[int, ...], Fraction],
+    states: dict[tuple[int, ...], int],
+    denominator: int,
     fixed: list[tuple[tuple[int, ...], list[tuple[int, int]]]],
     v_ends: list[int],
     w_ends: list[int],
@@ -438,27 +471,31 @@ def _close_free_letter(
 ) -> Fraction:
     """Sum out the last pair of permutations, one of them in closed form.
 
-    Each entry of fixed is a permutation a (v-side slot k -> w-side slot a[k])
-    with its delta edges.  Once they are added, the remaining chain indices
-    are the endpoints v_ends / w_ends of the free permutation's edges, and each
-    path left joins w-side endpoint j to v-side endpoint x_a(j).  A free
-    permutation f then closes #(x_a f) more classes, with weight
-    Wg(f a^{-1}) or Wg(a f^{-1}); substituting f = pi a turns its whole sum
-    into K(ct(a x_a)).
+    The state weights are integers over a common denominator.  Each entry of
+    fixed is a permutation a (v-side slot k -> w-side slot a[k]) with its
+    delta edges.  Once they are added, the remaining chain indices are the
+    endpoints v_ends / w_ends of the free permutation's edges, and each path
+    left joins w-side endpoint j to v-side endpoint x_a(j).  A free
+    permutation f then closes #(x_a f) more classes, with weight Wg(f a^{-1})
+    or Wg(a f^{-1}); substituting f = pi a turns its whole sum into
+    K(ct(a x_a)).  K is scaled to integers too, so the result is one Fraction.
     """
+    k_int, k_den = _over_common_denominator(K)
+    k_of: dict[tuple[int, ...], int] = {}  # y -> K(ct(y)) as an integer
+    powers = [N ** c for c in range(len(v_ends) + 1)]
     v_index = {vert: k for k, vert in enumerate(v_ends)}
-    total = Fraction(0)
+    total = 0
     for state, weight in states.items():
-        counts: Counter[tuple[int, tuple[int, ...]]] = Counter()
+        inner = 0
         for a, edges in fixed:
             ends, closed = _add_edges(state, edges)
-            y = [a[v_index[ends[vert]]] for vert in w_ends]
-            counts[closed, _cycle_type0(y)] += 1
-        total += weight * sum(
-            (count * N ** closed * K[ct] for (closed, ct), count in counts.items()),
-            Fraction(0),
-        )
-    return total
+            y = tuple([a[v_index[ends[vert]]] for vert in w_ends])
+            k = k_of.get(y)
+            if k is None:
+                k = k_of[y] = k_int[_cycle_type0(y)]
+            inner += powers[closed] * k
+        total += weight * inner
+    return Fraction(total, denominator * k_den)
 
 
 def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fraction:
@@ -486,35 +523,43 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
     def row_edges(sig, v_pos, w_pos):
         return [(var(-v_pos[a] + 1), var(w_pos[sig[a]] - 1)) for a in range(len(sig))]
 
+    # State weights are integers over the product of each letter's Wg
+    # denominator.
     ends = list(range(s + t + 1))
     _join(ends, var(-s), var(t))
-    states = {tuple(ends): Fraction(1)}
+    states = {tuple(ends): 1}
+    denominator = 1
     powers = [N ** c for c in range(s + t + 2)]
     for nr, v_pos, w_pos in letters[:-1]:
-        wg = table.values(nr, N)
+        wg, wg_den = _over_common_denominator(table.values(nr, N))
+        denominator *= wg_den
         perms = list(permutations(range(nr)))
-        cols = [
-            (tau, [(var(-v_pos[a]), var(w_pos[tau[a]])) for a in range(nr)])
-            for tau in perms
-        ]
-        merged: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
-        for state, weight in states.items():
+        rows = [row_edges(sig, v_pos, w_pos) for sig in perms]
+        cols = []
+        for tau in perms:
+            edges = [(var(-v_pos[a]), var(w_pos[tau[a]])) for a in range(nr)]
+            # Wg(tau sig^{-1}) for every sig, in the order of rows
+            coeffs = []
             for sig in perms:
-                after_rows, closed_rows = _add_edges(state, row_edges(sig, v_pos, w_pos))
-                for tau, edges in cols:
+                pi = [0] * nr
+                for a in range(nr):
+                    pi[sig[a]] = tau[a]
+                coeffs.append(wg[_cycle_type0(pi)])
+            cols.append((edges, coeffs))
+        merged: dict[tuple[int, ...], int] = defaultdict(int)
+        for state, weight in states.items():
+            for si, r_edges in enumerate(rows):
+                after_rows, closed_rows = _add_edges(state, r_edges)
+                for edges, coeffs in cols:
                     ends, closed = _add_edges(after_rows, edges)
-                    pi = [0] * nr
-                    for a in range(nr):
-                        pi[sig[a]] = tau[a]
-                    merged[tuple(ends)] += (
-                        weight * wg[_cycle_type0(pi)] * powers[closed_rows + closed]
-                    )
+                    merged[tuple(ends)] += weight * coeffs[si] * powers[closed_rows + closed]
         states = merged
 
     nr, v_pos, w_pos = letters[-1]
     fixed = [(sig, row_edges(sig, v_pos, w_pos)) for sig in permutations(range(nr))]
     return _close_free_letter(
         states,
+        denominator,
         fixed,
         [var(-p) for p in v_pos],
         [var(p) for p in w_pos],
@@ -545,7 +590,7 @@ def _pairing_ball(w: Word, v: Word, m: int, N: int, table: WeingartenTable) -> F
     free_v, free_w = [var(-(k + 1)) for k in range(n)], [var(j + 1) for j in range(n)]
     ends = list(range(2 * n + 1))
     _join(ends, var(-n), var(n))
-    return _close_free_letter({tuple(ends): Fraction(1)}, fixed, free_v, free_w, K, N)
+    return _close_free_letter({tuple(ends): 1}, 1, fixed, free_v, free_w, K, N)
 
 
 def sesquilinear_moment_exact(

@@ -275,6 +275,14 @@ class TestUpsilonCommand:
         for p in ("nan", "inf"):
             assert main(["upsilon", path, "--p", p]) == 2
 
+    def test_non_finite_threshold_is_a_precondition_error(self, tmp_path):
+        path = write_tuple(tmp_path, "one.json", [np.array([[1.0]])])
+        args = ["upsilon", path, "--max-degree", "5"]
+        data = json.loads(run_cli(*args, "--threshold", "3").stdout)
+        assert data["status"] == "diverged"
+        for threshold in ("nan", "inf"):
+            assert main([*args, "--threshold", threshold]) == 2
+
 
 class TestKernelCommand:
     def test_scalar_geometric(self, tmp_path):
@@ -340,6 +348,16 @@ class TestFreenessCommand:
         path = tmp_path / "const.json"
         path.write_text(json.dumps(factors))
         assert run_cli("freeness", str(path), "--samples", "100").returncode == 1
+
+    def test_non_finite_coefficient_rejected(self, tmp_path):
+        for re_part, im_part in ((float("nan"), 0.0), (1.0, float("inf"))):
+            factors = [{"letter": 1, "terms": [{"power": 1, "re": re_part, "im": im_part}]}]
+            path = tmp_path / "nan.json"
+            path.write_text(json.dumps(factors))
+            res = run_cli("freeness", str(path), "--N", "2", "--samples", "100")
+            assert res.returncode == 1
+            assert "input error" in res.stderr and "factor 0" in res.stderr
+            assert res.stdout == ""
 
 
 class TestSelftestCommand:

@@ -370,3 +370,8 @@ class TestFreeness:
             )
         with pytest.raises(FreenessStructureError):
             freeness_diagnostic([], [4], 100, SeededStream(54))
+
+    def test_non_finite_coefficient_rejected(self):
+        for bad in (float("nan"), float("inf"), complex(0.0, float("-inf")), complex(1.0, float("nan"))):
+            with pytest.raises(FreenessStructureError, match="not finite"):
+                FreenessFactor(1, {1: 1.0, -2: bad})

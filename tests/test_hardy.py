@@ -280,6 +280,14 @@ class TestUpsilonMembership:
             with pytest.raises(ValueError):
                 upsilon_membership(MatrixTuple([np.eye(2)]), p)
 
+    def test_threshold_validation(self):
+        # a NaN threshold would keep the divergence test from ever firing
+        x = MatrixTuple([np.eye(1)])
+        assert upsilon_membership(x, 1.0, max_degree=5, divergence_threshold=3.0).status == "diverged"
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="divergence_threshold"):
+                upsilon_membership(x, 1.0, max_degree=5, divergence_threshold=bad)
+
 
 class TestKernel:
     def test_zero_second_argument(self):

@@ -23,9 +23,10 @@ from nc_hardy import (
     pairing_moment_exact,
     sesquilinear_moment_exact,
 )
-from nc_hardy.weingarten import _characters, _schur_at_ones
+from nc_hardy.weingarten import _characters, _content_product
 
 GOLDEN_TABLE = Path(__file__).parent / "golden" / "weingarten_table.json"
+GOLDEN_BELOW = Path(__file__).parent / "golden" / "weingarten_below_threshold.json"
 
 # Pairings computed by the engine that enumerated every (sigma, tau) pair per
 # letter and merged chain indices with a union-find, before it was replaced by
@@ -194,6 +195,30 @@ class TestWeingartenValues:
         for entry in golden["free_sums"]:
             assert dict(table.free_sums(entry["n"], entry["M"], entry["N"])) == parse(entry)
 
+    def test_below_threshold_goldens(self):
+        # values(n, N) for N < n <= 6, and free_sums(n, M, N) for M < n or
+        # N < n <= M, with M, N <= 2n: where partitions longer than N or M
+        # drop out and P_lam(N) = 0, as computed by the engine that summed
+        # one Fraction per partition.
+        golden = json.loads(GOLDEN_BELOW.read_text())
+
+        def parse(entry):
+            return {
+                tuple(int(x) for x in ct.split(",")): Fraction(value)
+                for ct, value in entry["table"].items()
+            }
+
+        table = WeingartenTable()
+        assert len(golden["values"]) == 15 and len(golden["free_sums"]) == 225
+        for entry in golden["values"]:
+            assert entry["N"] < entry["n"]
+            assert dict(table.values(entry["n"], entry["N"])) == parse(entry)
+        for entry in golden["free_sums"]:
+            assert entry["M"] < entry["n"] or entry["N"] < entry["n"]
+            got = table.free_sums(entry["n"], entry["M"], entry["N"])
+            assert dict(got) == parse(entry)
+            assert all(type(x) is Fraction for x in got.values())
+
     def test_below_order_is_pseudo_inverse(self):
         # order 3 at N = 2: the sign character drops out of the character sum
         table = WeingartenTable()
@@ -250,15 +275,41 @@ class TestCharacters:
                 assert chi[lam][(1,) * n] * _hook_product(lam) == factorial(n)
 
     def test_schur_weyl_count(self):
-        # (C^N)^{(x) n} = sum_lam S_lam (x) V_lam, with s_lam(1^N) = 0 for
-        # partitions longer than N: at the identity the dimensions add up to
-        # N^n, and a permutation of cycle type mu has trace N^{len(mu)}
+        # (C^N)^{(x) n} = sum_lam S_lam (x) V_lam, with s_lam(1^N) =
+        # chi^lam(1) P_lam(N) / n! and P_lam(N) = 0 for partitions longer than
+        # N: at the identity the dimensions add up to N^n, and a permutation
+        # of cycle type mu has trace N^{len(mu)}
         for n in range(1, 8):
             parts, chi = _characters(n)
+            ident = (1,) * n
             for N in range(1, 9):
+                for lam in parts:
+                    assert (_content_product(lam, N) == 0) == (len(lam) > N)
                 for mu in parts:
-                    got = sum(chi[lam][mu] * _schur_at_ones(lam, N) for lam in parts)
+                    got = sum(
+                        Fraction(chi[lam][mu] * chi[lam][ident] * _content_product(lam, N))
+                        for lam in parts
+                    ) / factorial(n)
                     assert got == N ** len(mu)
+
+    def test_shared_and_read_only(self):
+        # one character table per order and process, shared by every
+        # WeingartenTable, and no caller can change it
+        parts, chi = _characters(4)
+        assert _characters(4)[1] is chi
+        builds = _characters.cache_info().misses
+        WeingartenTable().values(4, 3)
+        WeingartenTable().free_sums(4, 5, 2)
+        assert _characters.cache_info().misses == builds
+        assert not hasattr(WeingartenTable(), "_characters")
+        lam, mu = parts[0], parts[-1]
+        with pytest.raises(TypeError):
+            chi[lam][mu] = 0
+        with pytest.raises(TypeError):
+            chi[lam] = {}
+        with pytest.raises(TypeError):
+            parts[0] = (1,) * 4
+        assert chi[lam][mu] == 1
 
 
 class TestEntryMoments:
