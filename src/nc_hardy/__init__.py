@@ -11,7 +11,6 @@ from .words import (
     SpectralConditionError,
     Word,
     EMPTY_WORD,
-    concat,
     NcSeries,
     MatrixTuple,
     word_eval,

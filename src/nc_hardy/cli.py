@@ -47,9 +47,6 @@ class TupleFormatError(ValueError):
     """A serialized matrix tuple did not match the interchange schema."""
 
 
-_SPACE_CHOICES = ("polydisc", "ball", "ball-row")
-
-
 def _space_for(space: str, m: int) -> SpaceKind:
     return SpaceKind.polydisc(m) if space == "polydisc" else SpaceKind.ball(m)
 
@@ -58,23 +55,35 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def load_series(path: str) -> NcSeries:
+def _read_json(path: str, error: type[ValueError]) -> object:
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise SeriesFormatError(f"{path}: {exc}") from None
+        raise error(f"{path}: {exc}") from None
+
+
+def load_series(path: str) -> NcSeries:
+    data = _read_json(path, SeriesFormatError)
     try:
         return NcSeries.from_json_dict(data)
     except SeriesFormatError as exc:
         raise SeriesFormatError(f"{path}: {exc}") from None
 
 
+def _load_series_files(paths: Sequence[str], m_check: int | None) -> list[NcSeries]:
+    """The series of a grid command, on one alphabet that matches --m if given."""
+    series = [load_series(path) for path in paths]
+    m = series[0].m
+    if any(s.m != m for s in series):
+        raise click.UsageError("series files use different alphabet sizes")
+    if m_check is not None and m_check != m:
+        raise click.UsageError(f"--m {m_check} does not match series alphabet size {m}")
+    return series
+
+
 def load_tuple(path: str) -> MatrixTuple:
     """Matrix-tuple file: {"m": ..., "n": ..., "matrices": [[[re, im], ...]]} row-major."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise TupleFormatError(f"{path}: {exc}") from None
+    data = _read_json(path, TupleFormatError)
     if not isinstance(data, dict) or not {"m", "n", "matrices"} <= set(data):
         raise TupleFormatError(f'{path}: need keys "m", "n", "matrices"')
     m, n, mats = data["m"], data["n"], data["matrices"]
@@ -98,22 +107,26 @@ def load_tuple(path: str) -> MatrixTuple:
         raise TupleFormatError(f"{path}: {exc}") from None
 
 
+def _integer(entry: dict, key: str) -> int:
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FreenessStructureError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_factors(path: str) -> list[FreenessFactor]:
     """Factor file: [{"letter": 1, "terms": [{"power": 1, "re": 1.0, "im": 0.0}]}]."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FreenessStructureError(f"{path}: {exc}") from None
+    data = _read_json(path, FreenessStructureError)
     if not isinstance(data, list) or not data:
         raise FreenessStructureError(f"{path}: expected a nonempty list of factors")
     factors = []
     for idx, fac in enumerate(data):
         try:
             terms = {
-                int(term["power"]): complex(float(term["re"]), float(term.get("im", 0.0)))
+                _integer(term, "power"): complex(float(term["re"]), float(term.get("im", 0.0)))
                 for term in fac["terms"]
             }
-            factors.append(FreenessFactor(int(fac["letter"]), terms))
+            factors.append(FreenessFactor(_integer(fac, "letter"), terms))
         except (TypeError, KeyError, ValueError) as exc:
             raise FreenessStructureError(f"{path}: factor {idx}: {exc}") from None
     return factors
@@ -173,8 +186,27 @@ def _cell_dict(cell: GridCell) -> dict:
     return out
 
 
-def _config_echo(**fields: object) -> dict:
-    return {k: v for k, v in fields.items() if v is not None}
+def _emit_grid(
+    out: str | None, fmt: str, config: dict, cells: Sequence[GridCell], rows=None, **fields
+) -> None:
+    """A grid command's output: the cells as CSV, or the config, the rows (one
+    per cell unless given) and the command's own fields as JSON."""
+    if fmt == "csv":
+        _emit(_cells_csv(cells, with_std_error=config["engine"] == "mc"), out)
+        return
+    rows = rows if rows is not None else [_cell_dict(cell) for cell in cells]
+    _emit(_json_text({"config": config, "rows": rows, **fields}), out)
+
+
+def _sampling(engine: str, samples: int, seed: int | None) -> tuple[SeededStream | None, dict]:
+    """The seeded stream of a run and the config fields that record it; only a
+    sampling engine checks --samples and reads NC_HARDY_SEED."""
+    if engine == "exact":
+        return None, {}
+    if samples < 2:
+        raise click.UsageError("--samples must be >= 2 for Monte Carlo engines")
+    seed = default_seed() if seed is None else seed
+    return SeededStream(seed, 0), {"samples": samples, "seed": seed}
 
 
 _seed_option = click.option("--seed", type=int, default=None, help="Override NC_HARDY_SEED.")
@@ -183,29 +215,21 @@ _out_option = click.option("--out", type=click.Path(dir_okay=False), default=Non
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True
 )
-_space_option = click.option(
-    "--space", type=click.Choice(_SPACE_CHOICES), default="polydisc", show_default=True
-)
 _n_grid_option = click.option(
     "--N", "n_grid", type=int, multiple=True, help="Matrix dimension; repeatable."
 )
 _r_grid_option = click.option(
     "--r", "r_grid", type=float, multiple=True, help="Radial scale; repeatable."
 )
-_engine_option = click.option(
-    "--engine", type=click.Choice(["exact", "mc", "both"]), default="exact", show_default=True
-)
 _m_option = click.option("--m", "m_check", type=int, default=None, help="Validate alphabet size.")
 
 
-def _check_samples(engine: str, samples: int) -> None:
-    if engine in ("mc", "both") and samples < 2:
-        raise click.UsageError("--samples must be >= 2 for Monte Carlo engines")
+def _space_option(*choices: str):
+    return click.option("--space", type=click.Choice(choices), default="polydisc", show_default=True)
 
 
-def _check_m(m_check: int | None, m: int) -> None:
-    if m_check is not None and m_check != m:
-        raise click.UsageError(f"--m {m_check} does not match series alphabet size {m}")
+def _engine_option(*choices: str):
+    return click.option("--engine", type=click.Choice(choices), default="exact", show_default=True)
 
 
 @click.group()
@@ -259,11 +283,11 @@ def cmd_moment(dim: int, ups: tuple[str, ...], conjs: tuple[str, ...], out: str 
 @cli.command("pairing")
 @click.argument("f_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("g_file", type=click.Path(exists=True, dir_okay=False))
-@_space_option
+@_space_option("polydisc", "ball", "ball-row")
 @_m_option
 @_n_grid_option
 @_r_grid_option
-@_engine_option
+@_engine_option("exact", "mc", "both")
 @_samples_option
 @_seed_option
 @_out_option
@@ -282,31 +306,20 @@ def cmd_pairing(
     fmt: str,
 ) -> None:
     """Boundary integral of (1/N) Tr(g(rX)* f(rX)) over an (r, N) grid."""
-    f = load_series(f_file)
-    g = load_series(g_file)
-    if f.m != g.m:
-        raise click.UsageError("series files use different alphabet sizes")
-    _check_m(m_check, f.m)
-    _check_samples(engine, samples)
     if fmt == "csv" and engine == "both":
         raise click.UsageError("csv output supports engine=exact or engine=mc only")
+    f, g = _load_series_files((f_file, g_file), m_check)
+    stream, sampling = _sampling(engine, samples, seed)
     boundary = _space_for(space, f.m).boundary(row=space == "ball-row")
     n_grid = n_grid or (2, 4, 8)
     r_grid = r_grid or (1.0,)
-    effective_seed = default_seed() if seed is None else seed
     exact = pairing_grid(f, g, boundary, r_grid, n_grid) if engine != "mc" else ()
-    sampled = (
-        pairing_grid(
-            f, g, boundary, r_grid, n_grid, "mc", samples, SeededStream(effective_seed, 0)
-        )
-        if engine != "exact"
-        else ()
-    )
-    flags = {}
+    sampled = pairing_grid(f, g, boundary, r_grid, n_grid, "mc", samples, stream) if stream else ()
+    rows, flags = None, {}
     if engine == "both":
         rows = []
         for cell, mc_cell in zip(exact, sampled):
-            est = MCEstimate(mc_cell.value, mc_cell.std_error, samples, effective_seed)
+            est = MCEstimate(mc_cell.value, mc_cell.std_error, samples, stream.seed)
             rows.append(
                 {
                     **_cell_dict(cell),
@@ -316,39 +329,28 @@ def cmd_pairing(
             )
         within = sum(1 for row in rows if row["delta_se"] <= 3.0)
         flags["cross_oracle_within_3se"] = within / len(rows) >= 0.99
-    else:
-        cells = exact or sampled
-        rows = [_cell_dict(cell) for cell in cells]
-    config = _config_echo(
-        command="pairing",
-        space=space,
-        m=f.m,
-        N_grid=list(n_grid),
-        r_grid=list(r_grid),
-        engine=engine,
-        samples=samples if engine != "exact" else None,
-        seed=effective_seed if engine != "exact" else None,
-        format=fmt,
-    )
-    if fmt == "csv":
-        _emit(_cells_csv(cells, with_std_error=engine == "mc"), out)
-    else:
-        _emit(_json_text({"config": config, "rows": rows, "flags": flags}), out)
+    config = {
+        "command": "pairing",
+        "space": space,
+        "m": f.m,
+        "N_grid": list(n_grid),
+        "r_grid": list(r_grid),
+        "engine": engine,
+        **sampling,
+        "format": fmt,
+    }
+    _emit_grid(out, fmt, config, exact or sampled, rows, flags=flags)
 
 
 @cli.command("inner")
 @click.argument("f_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("g_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--space", type=click.Choice(["polydisc", "ball"]), default="polydisc", show_default=True)
+@_space_option("polydisc", "ball")
 @_m_option
 @_out_option
 def cmd_inner(f_file: str, g_file: str, space: str, m_check: int | None, out: str | None) -> None:
     """Coefficient-side Hardy inner product of two series."""
-    f = load_series(f_file)
-    g = load_series(g_file)
-    if f.m != g.m:
-        raise click.UsageError("series files use different alphabet sizes")
-    _check_m(m_check, f.m)
+    f, g = _load_series_files((f_file, g_file), m_check)
     value = inner_product(f, g, _space_for(space, f.m))
     _emit(_json_text({"re": value.real, "im": value.imag, "exact": True}), out)
 
@@ -356,11 +358,11 @@ def cmd_inner(f_file: str, g_file: str, space: str, m_check: int | None, out: st
 @cli.command("recover")
 @click.argument("f_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--word", "word_text", required=True, help="Comma-separated letters; '' for the empty word.")
-@click.option("--space", type=click.Choice(["polydisc", "ball"]), default="polydisc", show_default=True)
+@_space_option("polydisc", "ball")
 @_m_option
 @_n_grid_option
 @click.option("--r", "r_scale", type=float, default=0.9, show_default=True)
-@_engine_option
+@_engine_option("exact", "mc")
 @_samples_option
 @_seed_option
 @click.option("--richardson", is_flag=True, help="Append one 1/N^2 extrapolation step.")
@@ -381,49 +383,39 @@ def cmd_recover(
     fmt: str,
 ) -> None:
     """Recover one Taylor coefficient from boundary integrals, with the N-trend."""
-    if engine == "both":
-        raise click.UsageError("recover supports engine=exact or engine=mc")
-    f = load_series(f_file)
-    _check_m(m_check, f.m)
-    _check_samples(engine, samples)
+    (f,) = _load_series_files((f_file,), m_check)
+    stream, sampling = _sampling(engine, samples, seed)
     word = _parse_word(word_text)
-    kind = _space_for(space, f.m)
     n_grid = n_grid or (2, 4, 8)
-    effective_seed = default_seed() if seed is None else seed
     report = coeff_recover(
         f,
         word,
         r_scale,
-        kind,
+        _space_for(space, f.m),
         list(n_grid),
         engine=engine,  # type: ignore[arg-type]
         samples=samples,
-        stream=SeededStream(effective_seed, 0) if engine == "mc" else None,
+        stream=stream,
         richardson=richardson,
     )
-    if fmt == "csv":
-        _emit(_cells_csv(report.cells, with_std_error=engine == "mc"), out)
-        return
-    payload = {
-        "config": _config_echo(
-            command="recover",
-            space=space,
-            m=f.m,
-            word=list(word.letters),
-            N_grid=list(n_grid),
-            r=r_scale,
-            engine=engine,
-            samples=samples if engine == "mc" else None,
-            seed=effective_seed if engine == "mc" else None,
-        ),
-        "rows": [_cell_dict(cell) for cell in report.cells],
+    fields = {
         "recovered_re": report.recovered.real,
         "recovered_im": report.recovered.imag,
     }
     if report.richardson is not None:
-        payload["richardson_re"] = report.richardson.real
-        payload["richardson_im"] = report.richardson.imag
-    _emit(_json_text(payload), out)
+        fields["richardson_re"] = report.richardson.real
+        fields["richardson_im"] = report.richardson.imag
+    config = {
+        "command": "recover",
+        "space": space,
+        "m": f.m,
+        "word": list(word.letters),
+        "N_grid": list(n_grid),
+        "r": r_scale,
+        "engine": engine,
+        **sampling,
+    }
+    _emit_grid(out, fmt, config, report.cells, **fields)
 
 
 @cli.command("upsilon")
@@ -470,11 +462,11 @@ def cmd_kernel(
 
 @cli.command("profile")
 @click.argument("f_file", type=click.Path(exists=True, dir_okay=False))
-@_space_option
+@_space_option("polydisc", "ball")
 @_m_option
 @_n_grid_option
 @_r_grid_option
-@_engine_option
+@_engine_option("exact", "mc")
 @_samples_option
 @_seed_option
 @_out_option
@@ -494,46 +486,37 @@ def cmd_profile(
     fmt: str,
 ) -> None:
     """Boundary norm profile of f over an (r, N) grid with the grid-sup estimate."""
-    if engine == "both":
-        raise click.UsageError("profile supports engine=exact or engine=mc")
-    f = load_series(f_file)
-    _check_m(m_check, f.m)
-    _check_samples(engine, samples)
-    if space == "ball-row":
-        raise click.UsageError("profile uses --space polydisc or ball")
-    kind = _space_for(space, f.m)
+    (f,) = _load_series_files((f_file,), m_check)
+    stream, sampling = _sampling(engine, samples, seed)
     n_grid = n_grid or (2, 4, 8)
     r_grid = r_grid or (0.5, 0.9, 1.0)
-    effective_seed = default_seed() if seed is None else seed
     report = boundary_norm_profile(
         f,
-        kind,
+        _space_for(space, f.m),
         list(r_grid),
         list(n_grid),
         engine=engine,  # type: ignore[arg-type]
         samples=samples,
-        stream=SeededStream(effective_seed, 0) if engine == "mc" else None,
+        stream=stream,
     )
-    if fmt == "csv":
-        _emit(_cells_csv(report.cells, with_std_error=engine == "mc"), out)
-        return
-    payload = {
-        "config": _config_echo(
-            command="profile",
-            space=space,
-            m=f.m,
-            N_grid=list(n_grid),
-            r_grid=list(r_grid),
-            engine=engine,
-            samples=samples if engine == "mc" else None,
-            seed=effective_seed if engine == "mc" else None,
-        ),
-        "rows": [_cell_dict(cell) for cell in report.cells],
-        "s_estimate": report.s_estimate,
-        "limit_inner_product_re": report.limit_inner_product.real,
-        "limit_inner_product_im": report.limit_inner_product.imag,
+    config = {
+        "command": "profile",
+        "space": space,
+        "m": f.m,
+        "N_grid": list(n_grid),
+        "r_grid": list(r_grid),
+        "engine": engine,
+        **sampling,
     }
-    _emit(_json_text(payload), out)
+    _emit_grid(
+        out,
+        fmt,
+        config,
+        report.cells,
+        s_estimate=report.s_estimate,
+        limit_inner_product_re=report.limit_inner_product.real,
+        limit_inner_product_im=report.limit_inner_product.imag,
+    )
 
 
 @cli.command("freeness")
@@ -551,17 +534,11 @@ def cmd_freeness(
 ) -> None:
     """Estimate the normalized trace of an alternating centered product per N."""
     factors = load_factors(factors_file)
-    if samples < 2:
-        raise click.UsageError("--samples must be >= 2")
+    stream, sampling = _sampling("mc", samples, seed)
     n_grid = n_grid or (4, 8, 16, 32)
-    effective_seed = default_seed() if seed is None else seed
-    report = freeness_diagnostic(
-        factors, list(n_grid), samples, SeededStream(effective_seed, 0)
-    )
+    report = freeness_diagnostic(factors, list(n_grid), samples, stream)
     payload = {
-        "config": _config_echo(
-            command="freeness", N_grid=list(n_grid), samples=samples, seed=effective_seed
-        ),
+        "config": {"command": "freeness", "N_grid": list(n_grid), **sampling},
         "rows": [
             {"N": row.N, **row.estimate.to_json_dict()} for row in report.rows
         ],
@@ -587,13 +564,13 @@ def _selftest_seeds(seed: int | None, only: tuple[int, ...]) -> str:
 @cli.command("selftest")
 @_seed_option
 @click.option("--only", "only", multiple=True, type=int, help="Run a subset of criteria.")
-@click.option("--inject-wg-corruption", is_flag=True, hidden=True)
-def cmd_selftest(seed: int | None, only: tuple[int, ...], inject_wg_corruption: bool) -> None:
+def cmd_selftest(seed: int | None, only: tuple[int, ...]) -> None:
     """Run the acceptance battery; exit code 0 iff every criterion passes."""
+    unknown = sorted(set(only) - set(acceptance.CRITERIA))
+    if unknown:
+        raise click.UsageError(f"unknown criteria {unknown}; valid: {sorted(acceptance.CRITERIA)}")
     click.echo(f"nc-hardy selftest ({_selftest_seeds(seed, only)})")
-    results = acceptance.run_all(
-        seed=seed, only=only or None, inject_wg_corruption=inject_wg_corruption
-    )
+    results = acceptance.run_all(seed=seed, only=only or None)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         click.echo(

@@ -308,6 +308,8 @@ def haar_entry_moment(
     double sum over permutation pairs (sigma, tau) matching row and column
     indices, weighted by Wg(N, tau sigma^{-1}).
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     for i, j in list(ups) + list(conjs):
         if not (1 <= i <= N and 1 <= j <= N):
             raise ValueError(f"entry index ({i}, {j}) outside [1, {N}]^2")
@@ -349,10 +351,6 @@ class BoundaryKind:
             raise ValueError(f"family must be one of {self._FAMILIES}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-
-    @property
-    def is_ball(self) -> bool:
-        return self.family != "polydisc"
 
     @classmethod
     def polydisc(cls, m: int) -> "BoundaryKind":

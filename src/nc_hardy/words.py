@@ -19,7 +19,6 @@ __all__ = [
     "SpectralConditionError",
     "Word",
     "EMPTY_WORD",
-    "concat",
     "all_words",
     "NcSeries",
     "MatrixTuple",
@@ -107,10 +106,6 @@ WordLike = Union[Word, Iterable[int]]
 
 def _as_word(key: WordLike) -> Word:
     return key if isinstance(key, Word) else Word(key)
-
-
-def concat(u: Word, v: Word) -> Word:
-    return u.concat(v)
 
 
 def all_words(m: int, max_len: int) -> list[Word]:

@@ -340,6 +340,13 @@ class TestEntryMoments:
         with pytest.raises(ValueError):
             haar_entry_moment([(1, 3)], [(1, 1)], 2)
 
+    def test_dimension_must_be_positive(self):
+        # checked before the empty product, which would otherwise return 1
+        for n_dim in (0, -3):
+            for ups, conjs in (([], []), ([(1, 1)], []), ([(1, 1)], [(1, 1)])):
+                with pytest.raises(ValueError, match="N must be >= 1"):
+                    haar_entry_moment(ups, conjs, n_dim)
+
 
 class TestPairingExact:
     def test_telescoping_identity(self):

@@ -13,7 +13,6 @@ from nc_hardy import (
     SeriesFormatError,
     SpectralConditionError,
     Word,
-    concat,
     direct_sum,
     l2p_norm,
     series_eval,
@@ -49,7 +48,7 @@ class TestWord:
 
     def test_concat_is_monoid(self):
         u, v = Word((1, 2)), Word((2, 1, 1))
-        assert concat(u, v).letters == (1, 2, 2, 1, 1)
+        assert (u * v).letters == (1, 2, 2, 1, 1)
         assert u * EMPTY_WORD == u
         assert EMPTY_WORD * v == v
         assert (u * v) * u == u * (v * u)
