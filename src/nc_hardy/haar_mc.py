@@ -26,7 +26,7 @@ QR work rows * cols**2:
 
 LAPACK's cost per matrix is mostly call overhead at small shapes, while
 Gram-Schmidt's grows with the block and leaves the cache first for tall
-blocks.  Per 4096-sample chunk of ``_boundary_stack`` (draw, QR and the
+blocks.  Per 4096-sample chunk of ``sample_boundary`` (draw, QR and the
 copy into the output layout), in ms, numpy 2.4.6 with one BLAS thread on a
 2-core Intel Xeon, median of 7:
 
@@ -57,6 +57,33 @@ A chunk's integrand (1/N) Tr(g(r_g X)* f(r_f X)) evaluates f and g in one
 prefix-trie walk of their words (``words._series_sums``), and evaluates f
 once when (g, r_g) is (f, r_f).  Neither changes a bit of the sums, so the
 evaluation is not part of the stream plan.
+
+On the LAPACK route a chunk draws its whole Ginibre block first, so the
+stream does not see the split, and then runs everything after the draw in
+sub-batches of S samples: the Q step, the phase fix, the ball layout and
+the integrand.  The sub-batches' values are joined into the chunk's value
+array, which is summed once, so every chunk keeps the bits of its (count,
+sum, M2) for any S.  Only the working set shrinks: at N = 16 a whole-chunk
+product stack is 16.8 MB, and one chunk walked whole streams several of
+them through memory in every matmul.  S is ``_sub_batch``: the samples
+whose m boundary blocks and ``width`` live word-product stacks, N x N
+complex each, fit ``_SUB_BATCH_BYTES`` (3 MiB), with ``_SUB_BATCH_MIN``
+(64) as the floor.  The Gram-Schmidt route stays whole (its reductions run
+along the rows axis, and its shapes are small).  Per 4096-sample chunk of
+``mc_pairing(f, f)`` (draw, Q step, layout, integrand and sum), in ms, with
+S forced, median of 5 to 7 interleaved runs, one worker, same host as
+above; the last column is the S the rule picks:
+
+    boundary         N  width  KB/sample  S=16   64  256  1024  4096  rule
+    polydisc, m = 2  16    10       48     536  455  483   606   748    64
+    ball_column, 2    8    11       13     191  140  128   131   165   236
+    ball_row, 3       8    10       13     166  130  120   120   134   236
+    polydisc, m = 1  11     3        7.6   156  117  111   109   143   406
+
+The first row is the mc-large benchmark's shape.  On two workers (two
+chunks) it read 637, 456, 492, 561 and 721 ms for the same S: the whole
+chunk is the slowest on either count, and below 64 samples numpy's
+per-call overhead takes over.
 """
 
 from __future__ import annotations
@@ -66,7 +93,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -77,6 +104,7 @@ from .words import (
     NcSeries,
     Word,
     _series_sums,
+    _trie_width,
     _walk_words,
 )
 
@@ -108,6 +136,11 @@ STREAM_PLAN = 3
 # chunk (table in the module docstring): Gram-Schmidt wins or ties at every
 # shape up to 10 x 10 (1000) and ties or loses from 16 x 8 (1024) on.
 _GRAM_SCHMIDT_MAX_WORK = 1000
+# Bytes of boundary blocks and live word products that one sub-batch of a
+# LAPACK-route chunk is sized to hold, and the fewest samples it takes
+# (table in the module docstring).
+_SUB_BATCH_BYTES = 3 << 20
+_SUB_BATCH_MIN = 64
 
 _ENV_SEED = "NC_HARDY_SEED"
 DEFAULT_SEED = 424242
@@ -233,10 +266,15 @@ def _haar_columns(
     Giraud, Langou and Rozloznik 2005), each step over all count samples.
     R's diagonal is the residual norms, real and positive, so there is no
     phase to fix and no scale to apply.  The result is a transposed view.
+    Its column norms and projections are sums along the rows axis, not the
+    batch axis; this route is never split into sub-batches.
 
-    LAPACK, larger work: the block is drawn as (count, rows, cols), scaled by
-    1/sqrt(2), thin-QR-factorized, and the phases of R's diagonal are divided
-    out of Q's columns.  The result is C-contiguous.
+    LAPACK, larger work: two steps, which the Monte Carlo chunks call
+    separately.  The draw (``_ginibre``) is the block (count, rows, cols),
+    scaled by 1/sqrt(2); the Q step (``_phase_fixed_q``) thin-QR-factorizes
+    it and divides the phases of R's diagonal out of Q's columns.  The Q
+    step works matrix by matrix, so it may run on any slice of the draw.
+    The result is C-contiguous.
     """
     if rows * cols * cols <= _GRAM_SCHMIDT_MAX_WORK:
         q = rng.standard_normal((cols, rows, count, 2)).view(complex)[..., 0]
@@ -250,15 +288,31 @@ def _haar_columns(
             )
             v /= np.where(norm == 0, 1.0, norm)
         return q.transpose(2, 1, 0)
+    return _phase_fixed_q(_ginibre(count, rows, cols, rng))
+
+
+def _ginibre(count: int, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """The LAPACK route's draw: count complex Ginibre matrices of rows x cols,
+    C-contiguous, all real parts drawn before all imaginary parts."""
     z = np.empty((count, rows, cols), dtype=complex)
     z.real = rng.standard_normal((count, rows, cols))
     z.imag = rng.standard_normal((count, rows, cols))
     z /= np.sqrt(2.0)
+    return z
+
+
+def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
+    """The LAPACK route's Q step: the thin Q factor of each matrix of z, with
+    the phases of R's diagonal divided out of its columns, C-contiguous.
+
+    LAPACK factorizes one matrix at a time, so any split of z along its first
+    axis gives the same bits for each matrix.
+    """
     q, r = np.linalg.qr(z)
     d = np.einsum("bii->bi", r)
     mag = np.abs(d)
-    ph = np.where(mag == 0, 1.0, d / np.where(mag == 0, 1.0, mag))
-    return q * ph[:, None, :]
+    q *= np.where(mag == 0, 1.0, d / np.where(mag == 0, 1.0, mag))[:, None, :]
+    return q
 
 
 def sample_haar_unitary(
@@ -277,10 +331,11 @@ def sample_haar_unitary(
     return stack if count is not None else stack[0]
 
 
-def _boundary_stack(
-    kind: BoundaryKind, N: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Boundary samples of shape (count, m, N, N), C-contiguous.
+def _boundary_batches(
+    kind: BoundaryKind, N: int, count: int, rng: np.random.Generator, batch: int
+) -> Iterator[np.ndarray]:
+    """The boundary stack of count samples, shape (count, m, N, N), handed
+    out in consecutive C-contiguous sub-batches of at most batch samples.
 
     polydisc: count * m Haar unitaries of size N.  ball_column: the mN x N
     first block column of a Haar unitary of size mN, split into its m blocks
@@ -288,17 +343,30 @@ def _boundary_stack(
     block row of the Haar unitary U* whose first block column was drawn,
     written as the conjugate transpose in the same one copy that makes the
     column ball contiguous.
+
+    The whole Ginibre block is drawn first, so the draws do not depend on
+    batch.  On the LAPACK route each sub-batch then gets its Q factors, phase
+    fix and layout from its own slice of the block; the Gram-Schmidt route
+    orthonormalizes the whole block in one pass and hands it out in one
+    batch.
     """
     m = kind.m
-    if kind.family == "polydisc":
-        return np.ascontiguousarray(
-            _haar_columns(count * m, N, N, rng).reshape(count, m, N, N)
-        )
-    blocks = _haar_columns(count, m * N, N, rng).reshape(count, m, N, N)
-    if kind.family == "ball_row":
-        out = np.empty_like(blocks, order="C")
-        return np.conjugate(blocks.transpose(0, 1, 3, 2), out=out)
-    return np.ascontiguousarray(blocks)
+    mats, rows = (m, N) if kind.family == "polydisc" else (1, m * N)
+
+    def layout(q: np.ndarray, size: int) -> np.ndarray:
+        blocks = q.reshape(size, m, N, N)
+        if kind.family == "ball_row":
+            out = np.empty_like(blocks, order="C")
+            return np.conjugate(blocks.transpose(0, 1, 3, 2), out=out)
+        return np.ascontiguousarray(blocks)
+
+    if rows * N * N <= _GRAM_SCHMIDT_MAX_WORK:
+        yield layout(_haar_columns(count * mats, rows, N, rng), count)
+        return
+    z = _ginibre(count * mats, rows, N, rng)
+    for lo in range(0, count, batch):
+        hi = min(lo + batch, count)
+        yield layout(_phase_fixed_q(z[lo * mats : hi * mats]), hi - lo)
 
 
 def sample_boundary(
@@ -315,7 +383,8 @@ def sample_boundary(
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = stream.generator()
-    stack = _boundary_stack(kind, N, count if count is not None else 1, rng)
+    size = count if count is not None else 1
+    (stack,) = _boundary_batches(kind, N, size, rng, size)
     if count is None:
         return MatrixTuple(list(stack[0]))
     return stack
@@ -326,24 +395,38 @@ def _chunk_plan(samples: int) -> list[int]:
     return [CHUNK_SAMPLES] * full + ([rem] if rem else [])
 
 
+def _sub_batch(N: int, m: int, width: int) -> int:
+    """Samples per sub-batch of a LAPACK-route chunk: as many as fit m
+    boundary blocks and width word-product stacks of N x N complex values
+    each into _SUB_BATCH_BYTES, and at least _SUB_BATCH_MIN."""
+    return max(_SUB_BATCH_MIN, _SUB_BATCH_BYTES // (16 * N * N * (m + width)))
+
+
 def _mc_estimate(
     kind: BoundaryKind,
     N: int,
     samples: int,
     stream: SeededStream,
     integrand: Callable[[np.ndarray], np.ndarray],
+    width: int,
     workers: int = 1,
 ) -> MCEstimate:
+    """Chunked estimate of the mean of integrand over the boundary samples.
+
+    width is the number of N x N stacks per sample that integrand holds at
+    once; it sets the sub-batch size and nothing else.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    batch = _sub_batch(N, kind.m, width)
 
     def run_chunk(job: tuple[int, int]) -> tuple[int, complex, float]:
         idx, size = job
         rng = stream.chunk_generator(idx)
-        xs = _boundary_stack(kind, N, size, rng)
-        z = np.asarray(integrand(xs), dtype=complex)
+        batches = _boundary_batches(kind, N, size, rng, batch)
+        z = np.concatenate([integrand(xs) for xs in batches])
         total = complex(z.sum())
         return size, total, float(np.square(np.abs(z - total / size)).sum())
 
@@ -382,7 +465,8 @@ def _mc_weighted_pairing(
             fx, gx = _series_sums(xs, [(f, r_f), (g, r_g)])
         return np.einsum("bij,bij->b", gx.conj(), fx) / N
 
-    return _mc_estimate(kind, N, samples, stream, integrand, workers)
+    width = _trie_width(f.coeffs.keys() | g.coeffs.keys()) + (1 if same else 2)
+    return _mc_estimate(kind, N, samples, stream, integrand, width, workers)
 
 
 def mc_pairing(
@@ -498,6 +582,8 @@ def freeness_diagnostic(
     kind = BoundaryKind.polydisc(m)
     stream = stream if stream is not None else default_stream()
     power_words = {Word((fac.letter,) * abs(j)) for fac in factors for j, _ in fac.terms}
+    # the walk keeps every power; the product keeps a running stack and a factor
+    width = _trie_width(power_words) + len(power_words) + 2
 
     def make_integrand(n: int) -> Callable[[np.ndarray], np.ndarray]:
         def integrand(xs: np.ndarray) -> np.ndarray:
@@ -515,7 +601,9 @@ def freeness_diagnostic(
 
     rows = []
     for pos, n in enumerate(N_grid):
-        est = _mc_estimate(kind, n, samples, stream.lane(pos), make_integrand(n), workers)
+        est = _mc_estimate(
+            kind, n, samples, stream.lane(pos), make_integrand(n), width, workers
+        )
         rows.append(FreenessRow(N=n, estimate=est))
     abs_means = tuple(abs(row.estimate.mean) for row in rows)
     monotone = all(b < a for a, b in zip(abs_means, abs_means[1:]))

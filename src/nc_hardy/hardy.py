@@ -298,12 +298,16 @@ def boundary_norm_profile(
 
     The supremum estimate is the grid maximum; the grid sup and the
     large-N limit genuinely differ in general, so the report also carries the
-    coefficient-side limit value ⟨f, f⟩ for comparison.
+    coefficient-side limit value ⟨f, f⟩ for comparison.  The supremum runs
+    over r <= 1, so every radius must lie in (0, 1], as in coeff_recover;
+    the grid is checked before any cell runs.
     """
     if f.m != kind.m:
         raise AlphabetMismatchError("series and space alphabets differ")
     if not r_grid or not N_grid:
         raise ValueError("grids must be nonempty")
+    if not all(0 < r <= 1 for r in r_grid):
+        raise ValueError("r must lie in (0, 1]")
     cells = pairing_grid(
         f, f, kind.boundary(), r_grid, N_grid, engine, samples, stream, workers, table
     )

@@ -379,6 +379,17 @@ class TestProfileCommand:
         assert data["s_estimate"] == 4.0
         assert data["limit_inner_product_re"] == 2.0
 
+    def test_radius_outside_unit_interval_is_a_precondition_error(self, run_cli, crossterm_file):
+        for r in ("2.0", "-1", "0"):
+            for engine in ("exact", "mc"):
+                res = run_cli(
+                    "profile", crossterm_file, "--N", "2", "--r", r, "--r", "1.0",
+                    "--engine", engine, "--format", "json",
+                )
+                assert res.returncode == 2, (r, engine)
+                assert res.stdout == ""
+                assert "precondition error: r must lie in (0, 1]" in res.stderr
+
 
 class TestFreenessCommand:
     def test_alternating_product(self, run_cli, tmp_path):

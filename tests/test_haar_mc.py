@@ -21,7 +21,12 @@ from nc_hardy import (
     sample_boundary,
     sample_haar_unitary,
 )
-from nc_hardy.haar_mc import _GRAM_SCHMIDT_MAX_WORK
+from nc_hardy.haar_mc import (
+    CHUNK_SAMPLES,
+    _GRAM_SCHMIDT_MAX_WORK,
+    _boundary_batches,
+    _sub_batch,
+)
 
 
 class TestSeededStream:
@@ -219,11 +224,20 @@ class TestMcPairing:
         assert abs(est.mean) <= 3 * est.std_error + 1e-12
 
     def test_worker_count_irrelevant(self):
+        # N = 3 takes the Gram-Schmidt route; the polydisc at N = 11 takes the
+        # LAPACK route, whose chunks run in sub-batches
         f = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
-        for kind in (BoundaryKind.ball_column(2), BoundaryKind.ball_row(2)):
-            est1 = mc_pairing(f, f, 0.8, kind, 3, 10_000, SeededStream(34), workers=1)
+        cases = (
+            (BoundaryKind.ball_column(2), 3),
+            (BoundaryKind.ball_row(2), 3),
+            (BoundaryKind.polydisc(2), 11),
+        )
+        for kind, n_dim in cases:
+            est1 = mc_pairing(f, f, 0.8, kind, n_dim, 10_000, SeededStream(34), workers=1)
             for workers in (2, 3):
-                est = mc_pairing(f, f, 0.8, kind, 3, 10_000, SeededStream(34), workers=workers)
+                est = mc_pairing(
+                    f, f, 0.8, kind, n_dim, 10_000, SeededStream(34), workers=workers
+                )
                 assert est.mean == est1.mean
                 assert est.std_error == est1.std_error
 
@@ -274,6 +288,87 @@ class TestMcPairing:
             mc_recovery_integral(f, Word((1,)), 1.0, kind, 0, 100, SeededStream(36))
         with pytest.raises(ValueError, match="N must be >= 1"):
             freeness_diagnostic([FreenessFactor(1, {1: 1.0})], [0], 100, SeededStream(36))
+
+
+# float.hex of (re, im, std_error) of mc_pairing(f, g, 0.9) and
+# mc_recovery_integral(f, w, 0.9), 4396 samples (a full chunk and a remainder
+# chunk), captured before the LAPACK-route chunks were split into sub-batches
+_F1 = NcSeries(1, {(): 0.5, (1,): 1.0, (1, 1): 0.5j, (1, 1, 1): -0.25})
+_G1 = NcSeries(1, {(1,): 0.75, (1, 1): -1.0, (1, 1, 1): 0.5j})
+_F2 = NcSeries(2, {(): 0.3, (1,): 1.0, (1, 2): 0.5, (2, 1): -0.5j, (2, 2, 1): 0.25})
+_G2 = NcSeries(2, {(2,): 0.5j, (1, 2): 1.0, (2, 1): 0.25, (1, 2, 1): -0.5})
+_LAPACK_ROUTE_PINS = [
+    (
+        BoundaryKind.polydisc(1), 11, _F1, _G1, (1, 1),
+        ("0x1.36e88839957cbp-1", "-0x1.0bd3de46cdb69p-2", "0x1.47a3d017c333bp-10"),
+        ("-0x1.d19a2a1dbbd77p-13", "0x1.9b2dc6808deaap-2", "0x1.9e651af969e09p-10"),
+    ),
+    (
+        BoundaryKind.ball_column(2), 8, _F2, _G2, (1, 2),
+        ("0x1.4f2fa4df0ea84p-4", "-0x1.51335db0a637cp-6", "0x1.44cd9e1f87502p-11"),
+        ("0x1.99ec0e7bee67ep-4", "-0x1.6b27c7ebbcf43p-11", "0x1.185f261ccb987p-11"),
+    ),
+    (
+        BoundaryKind.ball_row(2), 8, _F2, _G2, (2, 1),
+        ("0x1.4d692a381cb74p-4", "-0x1.5a7b2b268a3ecp-6", "0x1.9696a55d9408bp-11"),
+        ("0x1.3b0b9cfdbde2bp-13", "-0x1.9d6155b357d37p-4", "0x1.1a26c05db7d64p-11"),
+    ),
+]
+
+
+def _hex(est: MCEstimate) -> tuple[str, str, str]:
+    return (est.mean.real.hex(), est.mean.imag.hex(), est.std_error.hex())
+
+
+class TestSubBatches:
+    @pytest.mark.parametrize("case", range(len(_LAPACK_ROUTE_PINS)))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lapack_route_bits_pinned(self, case, workers):
+        kind, n_dim, f, g, w, pairing_pin, recovery_pin = _LAPACK_ROUTE_PINS[case]
+        rows = n_dim if kind.family == "polydisc" else kind.m * n_dim
+        assert rows * n_dim**2 > _GRAM_SCHMIDT_MAX_WORK
+        # a full chunk runs in several sub-batches for any integrand
+        assert _sub_batch(n_dim, kind.m, 0) < CHUNK_SAMPLES
+        est = mc_pairing(f, g, 0.9, kind, n_dim, 4396, SeededStream(61), workers=workers)
+        assert _hex(est) == pairing_pin
+        est = mc_recovery_integral(
+            f, Word(w), 0.9, kind, n_dim, 4396, SeededStream(62), workers=workers
+        )
+        assert _hex(est) == recovery_pin
+
+    def test_freeness_bits_pinned(self):
+        # the polydisc at N = 11 takes the LAPACK route
+        factors = [FreenessFactor(1, {1: 1.0, -2: 0.5j}), FreenessFactor(2, {2: 1.0, -1: -0.25})]
+        for workers in (1, 2):
+            report = freeness_diagnostic(factors, [11], 4396, SeededStream(63), workers)
+            assert _hex(report.rows[0].estimate) == (
+                "-0x1.e4a18fa8c8a38p-13", "0x1.c398556f670d9p-14", "0x1.a22e83af46bc7p-10"
+            )
+
+    @pytest.mark.parametrize(
+        "kind, n_dim",
+        [
+            (BoundaryKind.polydisc(2), 11),
+            (BoundaryKind.ball_column(2), 8),
+            (BoundaryKind.ball_row(2), 8),
+            (BoundaryKind.ball_row(3), 2),  # Gram-Schmidt: one whole batch
+        ],
+    )
+    def test_batches_concatenate_to_the_whole_stack(self, kind, n_dim):
+        whole = sample_boundary(kind, n_dim, SeededStream(64), count=300)
+        for batch in (1, 7, 64, 300):
+            parts = list(_boundary_batches(kind, n_dim, 300, SeededStream(64).generator(), batch))
+            assert all(part.flags.c_contiguous for part in parts)
+            assert np.array_equal(np.concatenate(parts), whole)
+            rows = n_dim if kind.family == "polydisc" else kind.m * n_dim
+            gram_schmidt = rows * n_dim**2 <= _GRAM_SCHMIDT_MAX_WORK
+            assert len(parts) == (1 if gram_schmidt else -(-300 // batch))
+
+    def test_sub_batch_rule(self):
+        # 3 MiB of blocks and products per sub-batch, at least 64 samples
+        assert _sub_batch(16, 2, 10) == 64
+        assert _sub_batch(11, 1, 3) == 406
+        assert _sub_batch(16, 2, 200) == 64
 
 
 class TestMCEstimate:

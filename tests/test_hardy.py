@@ -220,6 +220,20 @@ class TestBoundaryNormProfile:
         assert abs(cell.value - 2.125) <= 3 * cell.std_error + 1e-12
 
 
+    def test_radius_outside_unit_interval_rejected_before_any_cell(self, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", no_cell)
+        for engine in ("exact", "mc"):
+            for r in (2.0, 1.0 + 1e-12, 0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=r"r must lie in \(0, 1\]"):
+                    boundary_norm_profile(
+                        CROSSTERM, SpaceKind.polydisc(2), [1.0, r], [2], engine
+                    )
+
+
 class TestUpsilonMembership:
     def test_spectral_fast_path(self):
         x = MatrixTuple([0.5 * np.eye(2), 0.5 * np.eye(2)])
