@@ -13,8 +13,8 @@ mN, an mN x N isometry split into its m blocks.  The row ball is the column
 ball's adjoint: the row blocks of U are the adjoints of the column blocks of
 U*, which is Haar too.  Each draw is the Q factor, with positive diagonal of
 R, of a rows x cols complex Ginibre block (Mezzadri, math-ph/0609050), and
-``_haar_columns`` computes it on one of two routes, chosen by the per-matrix
-QR work rows * cols**2:
+``_boundary_batches`` computes it on one of two routes, chosen by the
+per-matrix QR work rows * cols**2:
 
 * at or below ``_GRAM_SCHMIDT_MAX_WORK``, batched Gram-Schmidt: the block is
   drawn batch-last, shape (cols, rows, count), and orthonormalized in place
@@ -60,30 +60,25 @@ evaluation is not part of the stream plan.
 
 On the LAPACK route a chunk draws its whole Ginibre block first, so the
 stream does not see the split, and then runs everything after the draw in
-sub-batches of S samples: the Q step, the phase fix, the ball layout and
-the integrand.  The sub-batches' values are joined into the chunk's value
-array, which is summed once, so every chunk keeps the bits of its (count,
-sum, M2) for any S.  Only the working set shrinks: at N = 16 a whole-chunk
-product stack is 16.8 MB, and one chunk walked whole streams several of
-them through memory in every matmul.  S is ``_sub_batch``: the samples
-whose m boundary blocks and ``width`` live word-product stacks, N x N
-complex each, fit ``_SUB_BATCH_BYTES`` (3 MiB), with ``_SUB_BATCH_MIN``
-(64) as the floor.  The Gram-Schmidt route stays whole (its reductions run
-along the rows axis, and its shapes are small).  Per 4096-sample chunk of
-``mc_pairing(f, f)`` (draw, Q step, layout, integrand and sum), in ms, with
-S forced, median of 5 to 7 interleaved runs, one worker, same host as
-above; the last column is the S the rule picks:
+sub-batches of ``_SUB_BATCH`` samples: the Q step, the phase fix, the ball
+layout and the integrand.  The sub-batches' values are joined into the
+chunk's value array, which is summed once, so every chunk keeps the bits of
+its (count, sum, M2) for any sub-batch size.  Only the working set shrinks:
+at N = 16 a whole-chunk stack is 16.8 MB, and the QR, the phase fix and
+every matmul of the word walk stream several of them through memory.  Per
+4096-sample chunk of ``mc_pairing(f, f)`` on the mc-large benchmark's shape
+(polydisc, m = 2, N = 16, a degree-5 series with 16 distinct prefixes;
+draw, Q step, layout, integrand and sum), in ms, one worker, median of 5 to
+7 interleaved runs, same host as above:
 
-    boundary         N  width  KB/sample  S=16   64  256  1024  4096  rule
-    polydisc, m = 2  16    10       48     536  455  483   606   748    64
-    ball_column, 2    8    11       13     191  140  128   131   165   236
-    ball_row, 3       8    10       13     166  130  120   120   134   236
-    polydisc, m = 1  11     3        7.6   156  117  111   109   143   406
+    S      16    64   256  1024  4096 (whole chunk)
+    ms    536   455   483   606   748
 
-The first row is the mc-large benchmark's shape.  On two workers (two
-chunks) it read 637, 456, 492, 561 and 721 ms for the same S: the whole
-chunk is the slowest on either count, and below 64 samples numpy's
-per-call overhead takes over.
+Below 64 samples numpy's per-call overhead takes over.  Slicing only the
+integrand, with the Q step over the whole chunk, is slower: over six
+alternating 20 s mc-large runs it read 1.78 against 2.04 ops/s and peaked
+at 329 against 137 MB.  The Gram-Schmidt route stays whole: its
+reductions run along the rows axis, and its shapes are small.
 """
 
 from __future__ import annotations
@@ -104,7 +99,6 @@ from .words import (
     NcSeries,
     Word,
     _series_sums,
-    _trie_width,
     _walk_words,
 )
 
@@ -131,16 +125,14 @@ __all__ = [
 CHUNK_SAMPLES = 4096
 # Bumped whenever the draws or the reduction of a fixed seed change.
 STREAM_PLAN = 3
-# Per-matrix QR work rows * cols**2 up to which _haar_columns orthonormalizes
-# by batched Gram-Schmidt rather than LAPACK QR.  Measured per 4096-sample
+# Per-matrix QR work rows * cols**2 up to which _boundary_batches
+# orthonormalizes by batched Gram-Schmidt rather than LAPACK QR.  Measured per 4096-sample
 # chunk (table in the module docstring): Gram-Schmidt wins or ties at every
 # shape up to 10 x 10 (1000) and ties or loses from 16 x 8 (1024) on.
 _GRAM_SCHMIDT_MAX_WORK = 1000
-# Bytes of boundary blocks and live word products that one sub-batch of a
-# LAPACK-route chunk is sized to hold, and the fewest samples it takes
-# (table in the module docstring).
-_SUB_BATCH_BYTES = 3 << 20
-_SUB_BATCH_MIN = 64
+# Samples per sub-batch of a LAPACK-route chunk (table in the module
+# docstring); any value gives the same bits.
+_SUB_BATCH = 64
 
 _ENV_SEED = "NC_HARDY_SEED"
 DEFAULT_SEED = 424242
@@ -246,54 +238,39 @@ class MCEstimate:
         }
 
 
-def _haar_columns(
+def _gram_schmidt_q(
     count: int, rows: int, cols: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """The first cols columns of count Haar unitaries of size rows, indexed
-    (count, rows, cols) but not always C-contiguous: callers copy them into
-    the layout they hand out.
+    """The Gram-Schmidt route: the Q, with positive diagonal of R, of the thin
+    QR factorization of count complex Ginibre blocks of rows x cols, indexed
+    (count, rows, cols) as a transposed view.
 
-    Both routes return the Q, with positive diagonal of R, of the thin QR
-    factorization of a complex Ginibre block.  The route is chosen by the
-    per-matrix QR work rows * cols**2 (see the module docstring for the
-    measured crossover); the routes draw different blocks from rng, so the
-    route is part of the stream plan.
-
-    Gram-Schmidt, work <= _GRAM_SCHMIDT_MAX_WORK: the block is drawn
-    batch-last, shape (cols, rows, count), with real and imaginary parts
-    interleaved, and its columns are orthonormalized in place by modified
-    Gram-Schmidt with one reorthogonalization pass ("twice is enough":
-    Giraud, Langou and Rozloznik 2005), each step over all count samples.
-    R's diagonal is the residual norms, real and positive, so there is no
-    phase to fix and no scale to apply.  The result is a transposed view.
-    Its column norms and projections are sums along the rows axis, not the
-    batch axis; this route is never split into sub-batches.
-
-    LAPACK, larger work: two steps, which the Monte Carlo chunks call
-    separately.  The draw (``_ginibre``) is the block (count, rows, cols),
-    scaled by 1/sqrt(2); the Q step (``_phase_fixed_q``) thin-QR-factorizes
-    it and divides the phases of R's diagonal out of Q's columns.  The Q
-    step works matrix by matrix, so it may run on any slice of the draw.
-    The result is C-contiguous.
+    The block is drawn batch-last, shape (cols, rows, count), with real and
+    imaginary parts interleaved, and its columns are orthonormalized in place
+    by modified Gram-Schmidt with one reorthogonalization pass ("twice is
+    enough": Giraud, Langou and Rozloznik 2005), each step over all count
+    samples.  R's diagonal is the residual norms, real and positive, so there
+    is no phase to fix and no scale to apply.  Its column norms and
+    projections are sums along the rows axis, not the batch axis; this route
+    is never split into sub-batches.
     """
-    if rows * cols * cols <= _GRAM_SCHMIDT_MAX_WORK:
-        q = rng.standard_normal((cols, rows, count, 2)).view(complex)[..., 0]
-        for j in range(cols):
-            v = q[j]
-            for _ in range(2):  # the second sweep is the reorthogonalization
-                for k in range(j):
-                    v -= q[k] * (q[k].conj() * v).sum(axis=0)
-            norm = np.sqrt(
-                np.square(v.real).sum(axis=0) + np.square(v.imag).sum(axis=0)
-            )
-            v /= np.where(norm == 0, 1.0, norm)
-        return q.transpose(2, 1, 0)
-    return _phase_fixed_q(_ginibre(count, rows, cols, rng))
+    q = rng.standard_normal((cols, rows, count, 2)).view(complex)[..., 0]
+    for j in range(cols):
+        v = q[j]
+        for _ in range(2):  # the second sweep is the reorthogonalization
+            for k in range(j):
+                v -= q[k] * (q[k].conj() * v).sum(axis=0)
+        norm = np.sqrt(
+            np.square(v.real).sum(axis=0) + np.square(v.imag).sum(axis=0)
+        )
+        v /= np.where(norm == 0, 1.0, norm)
+    return q.transpose(2, 1, 0)
 
 
 def _ginibre(count: int, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """The LAPACK route's draw: count complex Ginibre matrices of rows x cols,
-    C-contiguous, all real parts drawn before all imaginary parts."""
+    C-contiguous, all real parts drawn before all imaginary parts, scaled by
+    1/sqrt(2)."""
     z = np.empty((count, rows, cols), dtype=complex)
     z.real = rng.standard_normal((count, rows, cols))
     z.imag = rng.standard_normal((count, rows, cols))
@@ -315,6 +292,15 @@ def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
     return q
 
 
+def _check_count(N: int, count: int | None) -> int:
+    """The number of samples a sampler draws: count, or 1 when it is None."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if count is not None and count < 1:
+        raise ValueError("count must be >= 1")
+    return count if count is not None else 1
+
+
 def sample_haar_unitary(
     N: int, stream: SeededStream, count: int | None = None
 ) -> np.ndarray:
@@ -323,12 +309,10 @@ def sample_haar_unitary(
     A fixed stream always reproduces the same draw; use distinct stream ids for
     independent samples.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    size = _check_count(N, count)
     rng = stream.generator()
-    stack = _haar_columns(count if count is not None else 1, N, N, rng)
-    stack = np.ascontiguousarray(stack)
-    return stack if count is not None else stack[0]
+    (stack,) = _boundary_batches(BoundaryKind.polydisc(1), N, size, rng, size)
+    return stack[:, 0] if count is not None else stack[0, 0]
 
 
 def _boundary_batches(
@@ -344,11 +328,14 @@ def _boundary_batches(
     written as the conjugate transpose in the same one copy that makes the
     column ball contiguous.
 
-    The whole Ginibre block is drawn first, so the draws do not depend on
-    batch.  On the LAPACK route each sub-batch then gets its Q factors, phase
-    fix and layout from its own slice of the block; the Gram-Schmidt route
-    orthonormalizes the whole block in one pass and hands it out in one
-    batch.
+    The route is chosen here, and only here, by the per-matrix QR work
+    rows * N**2 (module docstring); the routes draw different blocks from
+    rng, so the route is part of the stream plan.  The Gram-Schmidt route
+    (``_gram_schmidt_q``) orthonormalizes the whole block in one pass and
+    hands it out in one batch.  The LAPACK route draws the whole Ginibre
+    block first (``_ginibre``), so the draws do not depend on batch, and
+    then each sub-batch gets its Q factors and phase fix
+    (``_phase_fixed_q``) and its layout from its own slice of the block.
     """
     m = kind.m
     mats, rows = (m, N) if kind.family == "polydisc" else (1, m * N)
@@ -361,7 +348,7 @@ def _boundary_batches(
         return np.ascontiguousarray(blocks)
 
     if rows * N * N <= _GRAM_SCHMIDT_MAX_WORK:
-        yield layout(_haar_columns(count * mats, rows, N, rng), count)
+        yield layout(_gram_schmidt_q(count * mats, rows, N, rng), count)
         return
     z = _ginibre(count * mats, rows, N, rng)
     for lo in range(0, count, batch):
@@ -380,11 +367,8 @@ def sample_boundary(
     adjoints of the ball_column blocks drawn from the same stream, which are
     the blocks of the first block row of a Haar unitary (sum Xi Xi* = I).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    rng = stream.generator()
-    size = count if count is not None else 1
-    (stack,) = _boundary_batches(kind, N, size, rng, size)
+    size = _check_count(N, count)
+    (stack,) = _boundary_batches(kind, N, size, stream.generator(), size)
     if count is None:
         return MatrixTuple(list(stack[0]))
     return stack
@@ -395,37 +379,23 @@ def _chunk_plan(samples: int) -> list[int]:
     return [CHUNK_SAMPLES] * full + ([rem] if rem else [])
 
 
-def _sub_batch(N: int, m: int, width: int) -> int:
-    """Samples per sub-batch of a LAPACK-route chunk: as many as fit m
-    boundary blocks and width word-product stacks of N x N complex values
-    each into _SUB_BATCH_BYTES, and at least _SUB_BATCH_MIN."""
-    return max(_SUB_BATCH_MIN, _SUB_BATCH_BYTES // (16 * N * N * (m + width)))
-
-
 def _mc_estimate(
     kind: BoundaryKind,
     N: int,
     samples: int,
     stream: SeededStream,
     integrand: Callable[[np.ndarray], np.ndarray],
-    width: int,
     workers: int = 1,
 ) -> MCEstimate:
-    """Chunked estimate of the mean of integrand over the boundary samples.
-
-    width is the number of N x N stacks per sample that integrand holds at
-    once; it sets the sub-batch size and nothing else.
-    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    batch = _sub_batch(N, kind.m, width)
 
     def run_chunk(job: tuple[int, int]) -> tuple[int, complex, float]:
         idx, size = job
         rng = stream.chunk_generator(idx)
-        batches = _boundary_batches(kind, N, size, rng, batch)
+        batches = _boundary_batches(kind, N, size, rng, _SUB_BATCH)
         z = np.concatenate([integrand(xs) for xs in batches])
         total = complex(z.sum())
         return size, total, float(np.square(np.abs(z - total / size)).sum())
@@ -465,8 +435,7 @@ def _mc_weighted_pairing(
             fx, gx = _series_sums(xs, [(f, r_f), (g, r_g)])
         return np.einsum("bij,bij->b", gx.conj(), fx) / N
 
-    width = _trie_width(f.coeffs.keys() | g.coeffs.keys()) + (1 if same else 2)
-    return _mc_estimate(kind, N, samples, stream, integrand, width, workers)
+    return _mc_estimate(kind, N, samples, stream, integrand, workers)
 
 
 def mc_pairing(
@@ -582,8 +551,6 @@ def freeness_diagnostic(
     kind = BoundaryKind.polydisc(m)
     stream = stream if stream is not None else default_stream()
     power_words = {Word((fac.letter,) * abs(j)) for fac in factors for j, _ in fac.terms}
-    # the walk keeps every power; the product keeps a running stack and a factor
-    width = _trie_width(power_words) + len(power_words) + 2
 
     def make_integrand(n: int) -> Callable[[np.ndarray], np.ndarray]:
         def integrand(xs: np.ndarray) -> np.ndarray:
@@ -601,9 +568,7 @@ def freeness_diagnostic(
 
     rows = []
     for pos, n in enumerate(N_grid):
-        est = _mc_estimate(
-            kind, n, samples, stream.lane(pos), make_integrand(n), width, workers
-        )
+        est = _mc_estimate(kind, n, samples, stream.lane(pos), make_integrand(n), workers)
         rows.append(FreenessRow(N=n, estimate=est))
     abs_means = tuple(abs(row.estimate.mean) for row in rows)
     monotone = all(b < a for a, b in zip(abs_means, abs_means[1:]))

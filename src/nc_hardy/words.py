@@ -7,7 +7,6 @@ Values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import total_ordering
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -321,14 +320,6 @@ def _walk_words(xs: np.ndarray, words: Iterable[Word]) -> Iterator[tuple[Word, n
             if node in inner:
                 level[node] = prod
         parents = level
-
-
-def _trie_width(words: Iterable[Word]) -> int:
-    """Most product stacks _walk_words keeps at once over words: the distinct
-    nonempty prefixes of two consecutive lengths, at the widest pair."""
-    prefixes = {w._data[:k] for w in words for k in range(1, len(w) + 1)}
-    per_length = Counter(map(len, prefixes))
-    return max((n + per_length[k - 1] for k, n in per_length.items()), default=0)
 
 
 def _series_sums(

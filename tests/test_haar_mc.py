@@ -21,12 +21,7 @@ from nc_hardy import (
     sample_boundary,
     sample_haar_unitary,
 )
-from nc_hardy.haar_mc import (
-    CHUNK_SAMPLES,
-    _GRAM_SCHMIDT_MAX_WORK,
-    _boundary_batches,
-    _sub_batch,
-)
+from nc_hardy.haar_mc import CHUNK_SAMPLES, _GRAM_SCHMIDT_MAX_WORK, _boundary_batches
 
 
 class TestSeededStream:
@@ -90,6 +85,17 @@ class TestSamplers:
         assert us[0, 0, 0].real == float.fromhex("-0x1.203c0e61f7e46p-2")
         assert hashlib.sha256(us.astype("<c16").tobytes()).hexdigest() == (
             "83cd7c4ffa5e1a9be821edb233d8b46336204101673783804afd0b94a49c941b"
+        )
+
+    @pytest.mark.parametrize("n_dim", [4, 16])  # Gram-Schmidt and LAPACK routes
+    def test_count_must_be_positive(self, n_dim):
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                sample_boundary(BoundaryKind.polydisc(2), n_dim, SeededStream(7), count=count)
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                sample_haar_unitary(n_dim, SeededStream(7), count=count)
+        assert sample_boundary(BoundaryKind.polydisc(2), n_dim, SeededStream(7), count=1).shape == (
+            1, 2, n_dim, n_dim,
         )
 
     def test_lapack_route_bits_pinned(self):
@@ -327,8 +333,6 @@ class TestSubBatches:
         kind, n_dim, f, g, w, pairing_pin, recovery_pin = _LAPACK_ROUTE_PINS[case]
         rows = n_dim if kind.family == "polydisc" else kind.m * n_dim
         assert rows * n_dim**2 > _GRAM_SCHMIDT_MAX_WORK
-        # a full chunk runs in several sub-batches for any integrand
-        assert _sub_batch(n_dim, kind.m, 0) < CHUNK_SAMPLES
         est = mc_pairing(f, g, 0.9, kind, n_dim, 4396, SeededStream(61), workers=workers)
         assert _hex(est) == pairing_pin
         est = mc_recovery_integral(
@@ -364,11 +368,12 @@ class TestSubBatches:
             gram_schmidt = rows * n_dim**2 <= _GRAM_SCHMIDT_MAX_WORK
             assert len(parts) == (1 if gram_schmidt else -(-300 // batch))
 
-    def test_sub_batch_rule(self):
-        # 3 MiB of blocks and products per sub-batch, at least 64 samples
-        assert _sub_batch(16, 2, 10) == 64
-        assert _sub_batch(11, 1, 3) == 406
-        assert _sub_batch(16, 2, 200) == 64
+    @pytest.mark.parametrize("sub_batch", [1, 7, CHUNK_SAMPLES])
+    def test_sub_batch_size_changes_no_bit(self, monkeypatch, sub_batch):
+        monkeypatch.setattr("nc_hardy.haar_mc._SUB_BATCH", sub_batch)
+        kind, n_dim, f, g, _, pairing_pin, _ = _LAPACK_ROUTE_PINS[2]
+        est = mc_pairing(f, g, 0.9, kind, n_dim, 4396, SeededStream(61), workers=2)
+        assert _hex(est) == pairing_pin
 
 
 class TestMCEstimate:

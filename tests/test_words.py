@@ -20,7 +20,7 @@ from nc_hardy import (
     similarity,
     word_eval,
 )
-from nc_hardy.words import _series_sums, _trie_width
+from nc_hardy.words import _series_sums
 
 
 class TestWord:
@@ -197,14 +197,6 @@ class TestSeriesEval:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             series_eval(NcSeries(2, {(1,): 1.0}), MatrixTuple([np.eye(2)]), 1.0)
-
-    def test_trie_width(self):
-        # prefixes by length: (1) (2) | (1,2) | (1,2,1) (1,2,2); the empty
-        # word is no stack
-        words = [Word(w) for w in [(), (2,), (1, 2, 1), (1, 2, 2)]]
-        assert _trie_width(words) == 3
-        assert _trie_width([Word((1,) * k) for k in range(1, 5)]) == 2
-        assert _trie_width([Word()]) == _trie_width([]) == 0
 
 
 class TestDirectSum:
