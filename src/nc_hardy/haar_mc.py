@@ -93,14 +93,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .weingarten import BoundaryKind
-from .words import (
-    AlphabetMismatchError,
-    MatrixTuple,
-    NcSeries,
-    Word,
-    _series_sums,
-    _walk_words,
-)
+from .words import MatrixTuple, NcSeries, Word, _series_sums, _walk_words
+from .words import _check_alphabets, _check_grid, _check_level, _check_radius, _check_samples
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -188,10 +182,9 @@ class MCEstimate:
     stream_plan: int = STREAM_PLAN
 
     def __post_init__(self) -> None:
-        if self.samples < 2:
-            raise ValueError("an estimate needs at least 2 samples")
-        if self.std_error < 0:
-            raise ValueError("std_error must be nonnegative")
+        _check_samples(self.samples)
+        if not (cmath.isfinite(self.mean) and 0 <= self.std_error < float("inf")):
+            raise ValueError(f"need a finite mean and std_error >= 0, got {self}")
 
     @classmethod
     def from_chunks(
@@ -294,8 +287,7 @@ def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
 
 def _check_count(N: int, count: int | None) -> int:
     """The number of samples a sampler draws: count, or 1 when it is None."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_level(N)
     if count is not None and count < 1:
         raise ValueError("count must be >= 1")
     return count if count is not None else 1
@@ -387,10 +379,8 @@ def _mc_estimate(
     integrand: Callable[[np.ndarray], np.ndarray],
     workers: int = 1,
 ) -> MCEstimate:
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    _check_level(N)
+    _check_samples(samples)
 
     def run_chunk(job: tuple[int, int]) -> tuple[int, complex, float]:
         idx, size = job
@@ -420,10 +410,8 @@ def _mc_weighted_pairing(
     stream: SeededStream | None,
     workers: int,
 ) -> MCEstimate:
-    if f.m != g.m:
-        raise AlphabetMismatchError("series alphabets differ")
-    if f.m != kind.m:
-        raise AlphabetMismatchError("series and boundary alphabets differ")
+    _check_alphabets(f.m, g.m, kind.m)
+    _check_radius(r_f)
     stream = stream if stream is not None else default_stream()
 
     same = (f, r_f) == (g, r_g)
@@ -545,8 +533,8 @@ def freeness_diagnostic(
             raise FreenessStructureError(
                 "consecutive factors must use different ensembles"
             )
-    if not N_grid:
-        raise ValueError("N_grid must be nonempty")
+    _check_grid(N_grid)
+    levels = [_check_level(n) for n in N_grid]
     m = max(fac.letter for fac in factors)
     kind = BoundaryKind.polydisc(m)
     stream = stream if stream is not None else default_stream()
@@ -567,7 +555,7 @@ def freeness_diagnostic(
         return integrand
 
     rows = []
-    for pos, n in enumerate(N_grid):
+    for pos, n in enumerate(levels):
         est = _mc_estimate(kind, n, samples, stream.lane(pos), make_integrand(n), workers)
         rows.append(FreenessRow(N=n, estimate=est))
     abs_means = tuple(abs(row.estimate.mean) for row in rows)

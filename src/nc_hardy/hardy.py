@@ -21,16 +21,9 @@ from .weingarten import (
     pairing_moment_exact,  # not called here; perfbench/tracing.py wraps this name
     sesquilinear_moment_exact,
 )
-from .words import (
-    AlphabetMismatchError,
-    MatrixTuple,
-    NcSeries,
-    Word,
-    _check_weight,
-    series_eval,
-    spectral_theta,
-    word_eval,
-)
+from .words import MatrixTuple, NcSeries, Word, series_eval, spectral_theta, word_eval
+from .words import _check_alphabets, _check_engine, _check_grid, _check_letters, _check_level
+from .words import _check_radius, _check_unit_radius, _check_weight
 
 __all__ = [
     "SpaceKind",
@@ -111,16 +104,17 @@ def pairing_grid(
     """Boundary integrals of (1/N) Tr(g(rX)* f(rX)) over an (r, N) grid.
 
     Cells come in r-major order.  The Monte Carlo engine draws the k-th cell
-    from stream.lane(k), so every cell has its own substream.
+    from stream.lane(k), so every cell has its own substream.  The engine and
+    every r and N of the grid are checked before the first cell runs.
     """
-    if engine not in ("exact", "mc"):
-        raise ValueError(f"unknown engine {engine!r}")
-    _check_radii(r_grid)
+    _check_engine(engine)
+    _check_radius(*r_grid)
+    levels = [_check_level(n) for n in N_grid]
     if engine == "mc":
         stream = stream if stream is not None else default_stream()
     cells = []
     for r in r_grid:
-        for n in N_grid:
+        for n in levels:
             if engine == "exact":
                 value = sesquilinear_moment_exact(f, g, r, boundary, n, table)
                 cells.append(GridCell(r=float(r), N=n, value=value, std_error=None, exact=True))
@@ -132,19 +126,6 @@ def pairing_grid(
                     GridCell(r=float(r), N=n, value=est.mean, std_error=est.std_error, exact=False)
                 )
     return tuple(cells)
-
-
-def _check_pair(f: NcSeries, g: NcSeries, kind: SpaceKind) -> None:
-    if f.m != g.m:
-        raise AlphabetMismatchError("series alphabets differ")
-    if f.m != kind.m:
-        raise AlphabetMismatchError("series and space alphabets differ")
-
-
-def _check_radii(r_grid: Sequence[float]) -> None:
-    for r in r_grid:
-        if not isfinite(r):
-            raise ValueError(f"r must be finite, got {r}")
 
 
 def _strata(f: NcSeries, g: NcSeries) -> dict[int, complex]:
@@ -170,8 +151,8 @@ def radial_pairing(
 
     At r = 1 this equals inner_product(f, g, kind).
     """
-    _check_pair(f, g, kind)
-    _check_radii(r_grid)
+    _check_alphabets(f.m, g.m, kind.m)
+    _check_radius(*r_grid)
     strata = _strata(f, g)
     out = []
     for r in r_grid:
@@ -219,17 +200,15 @@ def coeff_recover(
     The exact engine reads pairing_grid(f, X^w) at r = 1, times m^{|w|} on the
     ball: only words v with |v| = |w| pair nontrivially, and on that stratum
     the r^{|v|} scale cancels the r^{-|w|} prefactor identically, so r never
-    enters the exact route.  Each cell still records the caller's r.
+    enters the exact route.  Each cell still records the caller's r.  The
+    engine, r and every level are checked before the first cell runs.
     """
-    if not 0 < r <= 1:
-        raise ValueError("r must lie in (0, 1]")
-    if not N_grid:
-        raise ValueError("N_grid must be nonempty")
-    if w.max_letter() > f.m:
-        raise AlphabetMismatchError("query word uses letters outside the series alphabet")
-    if f.m != kind.m:
-        raise AlphabetMismatchError("series and space alphabets differ")
-    levels = sorted(set(int(n) for n in N_grid))
+    _check_engine(engine)
+    _check_unit_radius(r)
+    _check_grid(N_grid)
+    _check_letters(f.m, w)
+    _check_alphabets(f.m, kind.m)
+    levels = sorted({_check_level(n) for n in N_grid})
     boundary = kind.boundary()
     prefactor = kind.stratum_divisor(len(w)) / r ** len(w)
     cells = []
@@ -238,7 +217,7 @@ def coeff_recover(
         monomial = NcSeries.monomial(f.m, w)
         for cell in pairing_grid(f, monomial, boundary, [1.0], levels, table=table):
             cells.append(replace(cell, r=r, value=divisor * cell.value))
-    elif engine == "mc":
+    else:
         stream = stream if stream is not None else default_stream()
         for pos, n in enumerate(levels):
             est = mc_recovery_integral(
@@ -253,8 +232,6 @@ def coeff_recover(
                     exact=False,
                 )
             )
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
     recovered = cells[-1].value
     rich = None
     if richardson and len(cells) >= 2:
@@ -299,15 +276,12 @@ def boundary_norm_profile(
     The supremum estimate is the grid maximum; the grid sup and the
     large-N limit genuinely differ in general, so the report also carries the
     coefficient-side limit value ⟨f, f⟩ for comparison.  The supremum runs
-    over r <= 1, so every radius must lie in (0, 1], as in coeff_recover;
-    the grid is checked before any cell runs.
+    over r <= 1, so every radius must lie in (0, 1], as in coeff_recover.
+    Every r and N of the grid is checked before the first cell runs.
     """
-    if f.m != kind.m:
-        raise AlphabetMismatchError("series and space alphabets differ")
-    if not r_grid or not N_grid:
-        raise ValueError("grids must be nonempty")
-    if not all(0 < r <= 1 for r in r_grid):
-        raise ValueError("r must lie in (0, 1]")
+    _check_alphabets(f.m, kind.m)
+    _check_grid(r_grid, N_grid)
+    _check_unit_radius(*r_grid)
     cells = pairing_grid(
         f, f, kind.boundary(), r_grid, N_grid, engine, samples, stream, workers, table
     )
@@ -439,8 +413,7 @@ def kernel_eval(
     Degree strata satisfy M_{l+1} = p sum_k (Xk tensor I) M_l (I tensor Yk*),
     which keeps the cost at m matrix products of size (N M) per degree.
     """
-    if X.m != Y.m:
-        raise AlphabetMismatchError("kernel arguments need one alphabet size")
+    _check_alphabets(X.m, Y.m)
     _check_weight(p)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -518,8 +491,7 @@ def reproduce_check(
     inner product must reproduce e2* f(Y) e1.  For polynomial f the pairing
     truncated at deg f is exact.
     """
-    if f.m != Y.m:
-        raise AlphabetMismatchError("series and tuple alphabets differ")
+    _check_alphabets(f.m, Y.m)
     _check_weight(p)
     e1 = np.asarray(e1, dtype=complex).reshape(-1)
     e2 = np.asarray(e2, dtype=complex).reshape(-1)

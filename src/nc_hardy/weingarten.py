@@ -24,7 +24,7 @@ from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .words import AlphabetMismatchError, NcSeries, Word
+from .words import NcSeries, Word, _check_alphabets, _check_letters, _check_level, _check_radius
 
 __all__ = [
     "ExactEngineError",
@@ -226,13 +226,13 @@ class WeingartenTable:
         return got
 
     def _check(self, n: int, *dims: int) -> None:
-        """Reject an order outside [1, max_n] or a dimension below 1."""
+        """Reject an order outside [1, max_n] or a dimension that is not an integer >= 1."""
         if not 1 <= n <= self.max_n:
             raise MultiplicityLimitError(
                 f"order n = {n} outside supported range [1, {self.max_n}]"
             )
-        if min(dims) < 1:
-            raise ValueError(f"dimensions must be >= 1 (got {', '.join(map(str, dims))})")
+        for dim in dims:
+            _check_level(dim)
 
     def values(self, n: int, N: int) -> Mapping[tuple[int, ...], Fraction]:
         """All Wg(N, .) of order n, keyed by cycle type."""
@@ -308,8 +308,7 @@ def haar_entry_moment(
     double sum over permutation pairs (sigma, tau) matching row and column
     indices, weighted by Wg(N, tau sigma^{-1}).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _check_level(N)
     for i, j in list(ups) + list(conjs):
         if not (1 <= i <= N and 1 <= j <= N):
             raise ValueError(f"entry index ({i}, {j}) outside [1, {N}]^2")
@@ -365,12 +364,6 @@ class BoundaryKind:
         return cls("ball_row", m)
 
 
-def _check_letters(w: Word, v: Word, m: int) -> None:
-    bad = max(w.max_letter(), v.max_letter())
-    if bad > m:
-        raise AlphabetMismatchError(f"word letter {bad} outside alphabet [1, {m}]")
-
-
 def pairing_moment_exact(
     w: Word,
     v: Word,
@@ -408,9 +401,8 @@ def pairing_moment_exact(
     Unbalanced letter counts yield an exact rational zero with no Weingarten
     work at all.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_letters(w, v, kind.m)
+    N = _check_level(N)
+    _check_letters(kind.m, w, v)
     tab = table if table is not None else DEFAULT_TABLE
     if kind.family == "polydisc":
         return _pairing_polydisc(w, v, N, tab)
@@ -605,14 +597,12 @@ def sesquilinear_moment_exact(
     scale r^{|w|+|v|} per pair, g-major and f-minor in items() order.  Pairs
     of unequal length are skipped: every boundary pairs them to an exact
     zero (Collins-Sniady 2006), so the same nonzero terms are added in the
-    same order.  Real for f = g; complex in general.
+    same order.  Real for f = g; complex in general.  r must be finite; any
+    finite r is allowed, since the integrand is a polynomial in r.
     """
-    if f.m != g.m:
-        raise AlphabetMismatchError("series alphabets differ")
-    if f.m != kind.m:
-        raise AlphabetMismatchError("series and boundary alphabets differ")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_alphabets(f.m, g.m, kind.m)
+    N = _check_level(N)
+    _check_radius(r)
     total = 0j
     for wv, gw in g.items():
         for vv, fv in f.items():

@@ -2,11 +2,15 @@
 at tuples of square matrices.
 
 Values are immutable after construction and safe to share across threads.
+The package's input rules are checked here, each by one ``_check_*``
+function, and every public entry runs them on its whole input (every N and
+r of a grid) before any work.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import total_ordering
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -133,10 +137,7 @@ class NcSeries:
         store: dict[Word, complex] = {}
         for key, value in (coeffs or {}).items():
             word = _as_word(key)
-            if word.max_letter() > m:
-                raise AlphabetMismatchError(
-                    f"word {word!r} uses letter {word.max_letter()} but m = {m}"
-                )
+            _check_letters(m, word)
             store[word] = store.get(word, 0j) + complex(value)
         self._m = m
         self._coeffs = {w: c for w, c in store.items() if c != 0}
@@ -175,8 +176,7 @@ class NcSeries:
     def __add__(self, other: "NcSeries") -> "NcSeries":
         if not isinstance(other, NcSeries):
             return NotImplemented
-        if self._m != other._m:
-            raise AlphabetMismatchError("cannot add series over different alphabets")
+        _check_alphabets(self._m, other._m)
         merged = dict(self._coeffs)
         for w, c in other._coeffs.items():
             merged[w] = merged.get(w, 0j) + c
@@ -338,10 +338,7 @@ def _series_sums(
 
 def word_eval(X: MatrixTuple, w: Word) -> np.ndarray:
     """Ordered product X_{w_1} ... X_{w_t}; the empty word gives the identity."""
-    if w.max_letter() > X.m:
-        raise AlphabetMismatchError(
-            f"word uses letter {w.max_letter()} but tuple has alphabet size {X.m}"
-        )
+    _check_letters(X.m, w)
     # The walk hands out views (the identity, a letter's slice); copy one out.
     [(_, prod)] = _walk_words(np.stack(X.entries)[None], [w])
     return np.array(prod[0])
@@ -349,8 +346,7 @@ def word_eval(X: MatrixTuple, w: Word) -> np.ndarray:
 
 def series_eval(f: NcSeries, X: MatrixTuple, r: float = 1.0) -> np.ndarray:
     """Exact finite sum sum_w f_w (rX)^w for a polynomial series."""
-    if f.m != X.m:
-        raise AlphabetMismatchError(f"series alphabet {f.m} != tuple alphabet {X.m}")
+    _check_alphabets(f.m, X.m)
     return _series_sums(np.stack(X.entries)[None], [(f, r)])[0][0]
 
 
@@ -358,6 +354,61 @@ def _check_weight(p: float) -> None:
     """Reject a weight p that is not a finite positive number."""
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"p must be finite and positive, got {p}")
+
+
+def _check_level(N: int) -> int:
+    """N as an int; reject a level that is not an integer >= 1 (numpy ints pass)."""
+    try:
+        n = operator.index(N)
+    except TypeError:
+        raise ValueError(f"N must be an integer, got {N!r}") from None
+    if n < 1:
+        raise ValueError("N must be >= 1")
+    return n
+
+
+def _check_radius(*radii: float) -> None:
+    """Reject a radial scale that is not finite."""
+    for r in radii:
+        if not math.isfinite(r):
+            raise ValueError(f"r must be finite, got {r}")
+
+
+def _check_unit_radius(*radii: float) -> None:
+    """Reject a radius outside (0, 1], NaN included."""
+    if not all(0 < r <= 1 for r in radii):
+        raise ValueError("r must lie in (0, 1]")
+
+
+def _check_alphabets(*sizes: int) -> None:
+    """Reject alphabet sizes that are not all equal."""
+    if len(set(sizes)) > 1:
+        raise AlphabetMismatchError(f"alphabet sizes differ: {', '.join(map(str, sizes))}")
+
+
+def _check_letters(m: int, *words: Word) -> None:
+    """Reject words that use a letter outside the alphabet {1..m}."""
+    bad = max(map(Word.max_letter, words))
+    if bad > m:
+        raise AlphabetMismatchError(f"word letter {bad} outside alphabet [1, {m}]")
+
+
+def _check_samples(samples: int) -> None:
+    """Reject a Monte Carlo sample count below 2."""
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+
+
+def _check_grid(*grids: Sequence) -> None:
+    """Reject an empty grid."""
+    if any(len(grid) == 0 for grid in grids):
+        raise ValueError("grids must be nonempty")
+
+
+def _check_engine(engine: str) -> None:
+    """Reject an engine other than "exact" and "mc"."""
+    if engine not in ("exact", "mc"):
+        raise ValueError(f"unknown engine {engine!r}")
 
 
 def l2p_norm(f: NcSeries, p: float) -> float:
@@ -368,8 +419,7 @@ def l2p_norm(f: NcSeries, p: float) -> float:
 
 def direct_sum(X: MatrixTuple, Y: MatrixTuple) -> MatrixTuple:
     """Componentwise block-diagonal direct sum; dimensions add."""
-    if X.m != Y.m:
-        raise AlphabetMismatchError("direct sum needs matching alphabet sizes")
+    _check_alphabets(X.m, Y.m)
     n, q = X.n, Y.n
     out = []
     for a, b in zip(X.entries, Y.entries):
@@ -445,8 +495,7 @@ def series_eval_tail_bounded(
     if isinstance(source, NcSeries):
         if coeff_norm is not None:
             raise ValueError("coeff_norm is computed for an NcSeries source; do not pass it")
-        if source.m != X.m:
-            raise AlphabetMismatchError("series and tuple alphabets differ")
+        _check_alphabets(source.m, X.m)
         norm_val = l2p_norm(source, p)
         coeff_fn: Callable[[Word], complex] = lambda w: source[w]
         depth = min(max_degree, source.degree())

@@ -240,6 +240,18 @@ class TestPairingCommand:
         for engine in ("exact", "mc", "both"):
             assert main([*args, "--engine", engine]) == 2
 
+    def test_invalid_level_fails_before_sampling(self, run_cli, crossterm_file, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", no_cell)
+        res = run_cli(
+            "pairing", crossterm_file, crossterm_file,
+            "--N", "16", "--N", "0", "--engine", "mc", "--samples", "1000000",
+        )
+        assert res.returncode == 2
+        assert "N must be >= 1" in res.stderr
+
 
 class TestGridCommandOptions:
     """What pairing, recover and profile accept, and when they check it."""

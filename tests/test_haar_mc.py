@@ -285,6 +285,29 @@ class TestMcPairing:
         with pytest.raises(ValueError):
             mc_pairing(f, f, 1.0, BoundaryKind.polydisc(1), 2, 1, SeededStream(35))
 
+    def test_non_finite_r_rejected_before_any_sample(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling ran")
+
+        monkeypatch.setattr("nc_hardy.haar_mc._mc_estimate", no_sampling)
+        f = NcSeries(1, {(): 1.0, (1,): 1.0})
+        kind = BoundaryKind.polydisc(1)
+        for r in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"r must be finite, got {r}"):
+                mc_pairing(f, f, r, kind, 2, 100, SeededStream(37))
+            with pytest.raises(ValueError, match=f"r must be finite, got {r}"):
+                mc_recovery_integral(f, Word((1,)), r, kind, 2, 100, SeededStream(37))
+
+    def test_radius_outside_unit_interval_allowed(self):
+        # the integrand is a polynomial in r, so any finite r is legal here
+        f = NcSeries(1, {(): 1.0, (1,): 1.0})
+        kind = BoundaryKind.polydisc(1)
+        for r in (-0.5, 2.0):
+            est = mc_pairing(f, f, r, kind, 2, 4096, SeededStream(38))
+            assert abs(est.mean - (1 + r * r)) <= 5 * est.std_error + 1e-12
+            est = mc_recovery_integral(f, Word((1,)), r, kind, 2, 4096, SeededStream(38))
+            assert abs(est.mean - r) <= 5 * est.std_error + 1e-12
+
     def test_dimension_floor(self):
         f = NcSeries(1, {(1,): 1.0})
         kind = BoundaryKind.polydisc(1)
@@ -416,6 +439,18 @@ class TestMCEstimate:
         with pytest.raises(ValueError):
             MCEstimate(mean=0j, std_error=-1.0, samples=5, seed=0)
 
+    def test_non_finite_mean_or_std_error_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for mean, se in (
+            (complex(nan), nan),
+            (complex(nan), 0.5),
+            (complex(0.0, inf), 0.5),
+            (1j, nan),
+            (1j, inf),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                MCEstimate(mean=mean, std_error=se, samples=10, seed=1)
+
 
 class TestFreeness:
     def test_single_centered_factor(self):
@@ -470,6 +505,17 @@ class TestFreeness:
             )
         with pytest.raises(FreenessStructureError):
             freeness_diagnostic([], [4], 100, SeededStream(54))
+
+    def test_invalid_level_rejected_before_any_row(self, monkeypatch):
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr("nc_hardy.haar_mc._mc_estimate", no_row)
+        factors = [FreenessFactor(1, {1: 1.0}), FreenessFactor(2, {1: 1.0})]
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            freeness_diagnostic(factors, (64, 0), 20_000, SeededStream(56))
+        with pytest.raises(ValueError, match="N must be an integer"):
+            freeness_diagnostic(factors, (64, 4.5), 20_000, SeededStream(56))
 
     def test_non_finite_coefficient_rejected(self):
         for bad in (float("nan"), float("inf"), complex(0.0, float("-inf")), complex(1.0, float("nan"))):

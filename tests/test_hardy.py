@@ -31,6 +31,10 @@ from nc_hardy import (
 CROSSTERM = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
 
 
+def _no_cell(*args, **kwargs):
+    raise AssertionError("a cell ran")
+
+
 class TestInnerProduct:
     def test_monomial_orthonormality_polydisc(self):
         kind = SpaceKind.polydisc(2)
@@ -144,6 +148,25 @@ class TestCoeffRecover:
         with pytest.raises(ValueError):
             coeff_recover(CROSSTERM, Word((1,)), 1.5, SpaceKind.polydisc(2), [2])
 
+    def test_invalid_level_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr("nc_hardy.haar_mc._mc_estimate", _no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", _no_cell)
+        for engine in ("exact", "mc"):
+            for levels in ((16, 0), (16, -3), (16, 2.7)):
+                with pytest.raises(ValueError, match="N must be"):
+                    coeff_recover(
+                        CROSSTERM, Word((1, 2)), 0.9, SpaceKind.polydisc(2), levels, engine
+                    )
+
+    def test_non_integer_level_refused_and_numpy_integers_accepted(self):
+        kind = SpaceKind.polydisc(2)
+        with pytest.raises(ValueError, match="N must be an integer, got 2.7"):
+            coeff_recover(CROSSTERM, Word((1, 2)), 0.7, kind, [2.7, 4.2])
+        report = coeff_recover(CROSSTERM, Word((1, 2)), 0.7, kind, np.array([4, 2]))
+        assert [cell.N for cell in report.cells] == [2, 4]
+        assert all(type(cell.N) is int for cell in report.cells)
+        assert [cell.value for cell in report.cells] == [1.25, 1.0625]
+
 
 class TestPairingGrid:
     F = NcSeries(2, {(): 0.5, (1,): 1.0 - 0.5j, (1, 2): 1.0, (2, 1): -0.75 + 0.3j})
@@ -173,17 +196,31 @@ class TestPairingGrid:
             pairing_grid(self.F, self.G, BoundaryKind.polydisc(2), [1.0], [2], "bogus")
 
     def test_non_finite_r_rejected_before_any_cell(self, monkeypatch):
-        def no_cell(*args, **kwargs):
-            raise AssertionError("a cell ran")
-
-        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", no_cell)
-        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", _no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", _no_cell)
         for engine in ("exact", "mc"):
             for r in (math.nan, math.inf):
                 with pytest.raises(ValueError):
                     pairing_grid(
                         self.F, self.G, BoundaryKind.polydisc(2), [0.5, r], [2], engine
                     )
+
+    def test_invalid_level_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", _no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", _no_cell)
+        kind = BoundaryKind.polydisc(2)
+        for engine in ("exact", "mc"):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                pairing_grid(self.F, self.G, kind, [1.0], (16, 0), engine, samples=1_000_000)
+
+    def test_non_integer_level_refused_and_numpy_integers_accepted(self):
+        kind = BoundaryKind.polydisc(2)
+        for engine in ("exact", "mc"):
+            with pytest.raises(ValueError, match="N must be an integer, got 2.7"):
+                pairing_grid(self.F, self.G, kind, [1.0], [2, 2.7], engine)
+        cells = pairing_grid(self.F, self.G, kind, [1.0], np.array([2, 3]))
+        assert cells == pairing_grid(self.F, self.G, kind, [1.0], [2, 3])
+        assert all(type(cell.N) is int for cell in cells)
 
 
 class TestBoundaryNormProfile:
@@ -221,17 +258,23 @@ class TestBoundaryNormProfile:
 
 
     def test_radius_outside_unit_interval_rejected_before_any_cell(self, monkeypatch):
-        def no_cell(*args, **kwargs):
-            raise AssertionError("a cell ran")
-
-        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", no_cell)
-        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", _no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", _no_cell)
         for engine in ("exact", "mc"):
             for r in (2.0, 1.0 + 1e-12, 0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(ValueError, match=r"r must lie in \(0, 1\]"):
                     boundary_norm_profile(
                         CROSSTERM, SpaceKind.polydisc(2), [1.0, r], [2], engine
                     )
+
+    def test_invalid_level_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", _no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", _no_cell)
+        for engine in ("exact", "mc"):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                boundary_norm_profile(
+                    CROSSTERM, SpaceKind.polydisc(2), [0.5, 1.0], (16, 0), engine
+                )
 
 
 class TestUpsilonMembership:

@@ -606,3 +606,49 @@ class TestSesquilinear:
             sesquilinear_moment_exact(
                 NcSeries.zero(2), NcSeries.zero(3), 1.0, BoundaryKind.polydisc(2), 2
             )
+
+    def test_non_finite_r_rejected_before_any_pairing(self, monkeypatch):
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("a pairing ran")
+
+        monkeypatch.setattr("nc_hardy.weingarten.pairing_moment_exact", no_pairing)
+        f = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
+        for r in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"r must be finite, got {r}"):
+                sesquilinear_moment_exact(f, f, r, BoundaryKind.polydisc(2), 4)
+
+    def test_radius_outside_unit_interval_allowed(self):
+        # the integrand is a polynomial in r, so any finite r is legal here
+        f = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
+        kind = BoundaryKind.polydisc(2)
+        unit = sesquilinear_moment_exact(f, f, 1.0, kind, 4)
+        for r in (-0.5, 2.0):
+            assert sesquilinear_moment_exact(f, f, r, kind, 4) == r ** 4 * unit
+
+
+class TestLevelCheck:
+    """Every exact entry takes an integer level N >= 1, numpy integers included."""
+
+    W, KIND = Word((1, 2, 1)), BoundaryKind.polydisc(2)
+    F = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
+
+    def test_non_integer_level_refused(self):
+        for n_dim in (2.7, 3.0, Fraction(3)):
+            with pytest.raises(ValueError, match="N must be an integer"):
+                pairing_moment_exact(self.W, self.W, self.KIND, n_dim)
+            with pytest.raises(ValueError, match="N must be an integer"):
+                sesquilinear_moment_exact(self.F, self.F, 1.0, self.KIND, n_dim)
+            with pytest.raises(ValueError, match="N must be an integer"):
+                haar_entry_moment([(1, 1)], [(1, 1)], n_dim)
+            with pytest.raises(ValueError, match="N must be an integer"):
+                WeingartenTable().values(2, n_dim)
+
+    def test_numpy_integer_level_accepted(self):
+        for n_dim in (1, 3):
+            assert pairing_moment_exact(self.W, self.W, self.KIND, np.int64(n_dim)) == (
+                pairing_moment_exact(self.W, self.W, self.KIND, n_dim)
+            )
+            assert sesquilinear_moment_exact(self.F, self.F, 1.0, self.KIND, np.int32(n_dim)) == (
+                sesquilinear_moment_exact(self.F, self.F, 1.0, self.KIND, n_dim)
+            )
+        assert WeingartenTable().values(2, np.int64(3)) == DEFAULT_TABLE.values(2, 3)
