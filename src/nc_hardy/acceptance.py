@@ -51,8 +51,6 @@ __all__ = [
     "random_tuple",
 ]
 
-MC_SEEDS = {2: 91002, 5: 91005, 10: 91010}
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -64,26 +62,34 @@ class CriterionResult:
     limit_seconds: float
 
 
-def _finish(
-    number: int,
-    name: str,
-    limit: float,
-    t0: float,
-    failures: list[str],
-    note: str = "",
-) -> CriterionResult:
-    seconds = time.perf_counter() - t0
-    if seconds > limit:
-        failures.append(f"runtime {seconds:.1f}s exceeds budget {limit:.0f}s")
-    details = note if not failures else "; ".join(failures)
-    return CriterionResult(
-        number=number,
-        name=name,
-        passed=not failures,
-        details=details,
-        seconds=seconds,
-        limit_seconds=limit,
-    )
+CRITERIA: dict[int, Callable[..., CriterionResult]] = {}
+# Each sampling criterion's fixed seed, used unless the run overrides it.
+MC_SEEDS: dict[int, int] = {}
+
+
+def _criterion(number: int, name: str, limit: float, mc_seed: int | None = None):
+    """Register check, timed against its budget of limit seconds, as CRITERIA[number].
+
+    The check takes the seed to sample with (the run's seed, or mc_seed when
+    the run gives none) and returns its failures and the note a pass reports.
+    """
+
+    def register(check: Callable[[int | None], tuple[list[str], str]]):
+        def run(seed: int | None = None) -> CriterionResult:
+            t0 = time.perf_counter()
+            failures, note = check(mc_seed if seed is None else seed)
+            seconds = time.perf_counter() - t0
+            if seconds > limit:
+                failures.append(f"runtime {seconds:.1f}s exceeds budget {limit:.0f}s")
+            details = note if not failures else "; ".join(failures)
+            return CriterionResult(number, name, not failures, details, seconds, limit)
+
+        CRITERIA[number] = run
+        if mc_seed is not None:
+            MC_SEEDS[number] = mc_seed
+        return check
+
+    return register
 
 
 def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
@@ -103,10 +109,10 @@ def cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lens, reverse=True))
 
 
-def criterion_1(seed: int | None = None) -> CriterionResult:
+@_criterion(1, "weingarten-values", 10.0)
+def weingarten_values(seed: int | None) -> tuple[list[str], str]:
     """Weingarten values against the hand-inverted 2x2 Gram system, and the
     defining Gram relation for all orders n <= 5, dimensions N <= 12."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     table = WeingartenTable()
     for n_dim in range(2, 9):
@@ -136,13 +142,13 @@ def criterion_1(seed: int | None = None) -> CriterionResult:
             worst = max(worst, resid)
     if worst > 1e-10:
         failures.append(f"Gram residual {worst:.3e} > 1e-10")
-    return _finish(1, "weingarten-values", 10.0, t0, failures, f"max Gram residual {worst:.2e}")
+    return failures, f"max Gram residual {worst:.2e}"
 
 
-def criterion_2(seed: int | None = None) -> CriterionResult:
+@_criterion(2, "crossterm-norm-identity", 60.0, mc_seed=91002)
+def crossterm_norm_identity(seed: int | None) -> tuple[list[str], str]:
     """Exact boundary norm of X1X2 + X2X1 equals 2(1 + 1/N^2), scales as r^4,
     and the Monte Carlo oracle agrees at N = 4."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     f = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
     kind = BoundaryKind.polydisc(2)
@@ -154,18 +160,18 @@ def criterion_2(seed: int | None = None) -> CriterionResult:
         got_r = sesquilinear_moment_exact(f, f, 0.5, kind, n_dim)
         if abs(got_r - 0.5 ** 4 * want) > 1e-10:
             failures.append(f"N={n_dim}: r-scaling is not r^4")
-    stream = SeededStream(MC_SEEDS[2] if seed is None else seed, 0)
+    stream = SeededStream(seed, 0)
     est = mc_pairing(f, f, 1.0, kind, 4, 100_000, stream)
     want4 = 2.0 * (1.0 + 1.0 / 16.0)
     delta = est.delta_in_se(want4)
     if delta > 3.0:
         failures.append(f"MC at N=4 off by {delta:.2f} standard errors")
-    return _finish(2, "crossterm-norm-identity", 60.0, t0, failures, f"MC delta {delta:.2f} SE")
+    return failures, f"MC delta {delta:.2f} SE"
 
 
-def criterion_3(seed: int | None = None) -> CriterionResult:
+@_criterion(3, "length-mismatch-vanishing", 10.0)
+def length_mismatch_vanishing(seed: int | None) -> tuple[list[str], str]:
     """Pairings of words with different lengths vanish exactly (no tolerance)."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     kind = BoundaryKind.polydisc(2)
     words = all_words(2, 3)
@@ -178,13 +184,13 @@ def criterion_3(seed: int | None = None) -> CriterionResult:
             checked += 1
             if val != 0:
                 failures.append(f"pairing({w!r}, {v!r}, N={n_dim}) = {val} != 0")
-    return _finish(3, "length-mismatch-vanishing", 10.0, t0, failures, f"{checked} pairs exactly zero")
+    return failures, f"{checked} pairs exactly zero"
 
 
-def criterion_4(seed: int | None = None) -> CriterionResult:
+@_criterion(4, "asymptotic-orthogonality", 10.0)
+def asymptotic_orthogonality(seed: int | None) -> tuple[list[str], str]:
     """The cross pairing of X1X2 against X2X1 equals 1/N exactly, so the
     sqrt-normalized trace decays at the observed order N^{-3/2}."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     kind = BoundaryKind.polydisc(2)
     w, v = Word((1, 2)), Word((2, 1))
@@ -200,10 +206,11 @@ def criterion_4(seed: int | None = None) -> CriterionResult:
         ratio = b / a
         if abs(ratio / want_ratio - 1.0) > 0.10:
             failures.append(f"decay ratio {ratio:.4f} not within 10% of 2^-1.5")
-    return _finish(4, "asymptotic-orthogonality", 10.0, t0, failures, "decay order N^-1.5")
+    return failures, "decay order N^-1.5"
 
 
-def criterion_5(seed: int | None = None) -> CriterionResult:
+@_criterion(5, "ball-normalization", 300.0, mc_seed=91005)
+def ball_normalization(seed: int | None) -> tuple[list[str], str]:
     """Ball-boundary normalization: degree-1 means equal 1/m exactly; degree-2
     means increase monotonically to 1/m^2; Monte Carlo agrees within 3 SE.
 
@@ -211,9 +218,7 @@ def criterion_5(seed: int | None = None) -> CriterionResult:
     of Tr(X1) to vanish: that holds for a Haar column, but not for one whose
     QR factor keeps the phases of R's diagonal.
     """
-    t0 = time.perf_counter()
     failures: list[str] = []
-    base_seed = MC_SEEDS[5] if seed is None else seed
     lane = 0
     for m in (2, 3):
         kind = BoundaryKind.ball_column(m)
@@ -240,19 +245,19 @@ def criterion_5(seed: int | None = None) -> CriterionResult:
         )
         for label, series, target, samples in checks:
             est = mc_pairing(
-                series, series, 1.0, kind, 4, samples, SeededStream(base_seed, lane)
+                series, series, 1.0, kind, 4, samples, SeededStream(seed, lane)
             )
             lane += 1
             delta = est.delta_in_se(target)
             if delta > 3.0:
                 failures.append(f"m={m}: MC of {label} off exact by {delta:.2f} SE")
-    return _finish(5, "ball-normalization", 300.0, t0, failures, "degree 1 exact, degree 2 -> 1/m^2")
+    return failures, "degree 1 exact, degree 2 -> 1/m^2"
 
 
-def criterion_6(seed: int | None = None) -> CriterionResult:
+@_criterion(6, "coefficient-recovery", 60.0)
+def coefficient_recovery(seed: int | None) -> tuple[list[str], str]:
     """Coefficient recovery converges at order 1/N^2 and vanishes exactly for
     query words outside the series support lengths."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     f = NcSeries(2, {(1, 2): 1.0, (2, 1): 2.0, (1,): -0.5})
     kind = SpaceKind.polydisc(2)
@@ -269,13 +274,13 @@ def criterion_6(seed: int | None = None) -> CriterionResult:
         report = coeff_recover(f, missing, 0.7, kind, levels, engine="exact")
         if any(cell.value != 0 for cell in report.cells):
             failures.append(f"word {missing!r}: recovery not exactly zero")
-    return _finish(6, "coefficient-recovery", 60.0, t0, failures, "O(1/N^2) trend")
+    return failures, "O(1/N^2) trend"
 
 
-def criterion_7(seed: int | None = None) -> CriterionResult:
+@_criterion(7, "orthonormal-monomials", 1.0)
+def orthonormal_monomials(seed: int | None) -> tuple[list[str], str]:
     """Monomials are exactly orthonormal: Gram identity on words of length <= 3
     for the polydisc, and for ball-normalized monomials."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     for m in (2, 3):
         words = all_words(m, 3)
@@ -298,7 +303,7 @@ def criterion_7(seed: int | None = None) -> CriterionResult:
                 got_ball = norm * inner_product(fi, fj, ball)
                 if got_ball != want:
                     failures.append(f"ball Gram({wi!r}, {wj!r}) = {got_ball}")
-    return _finish(7, "orthonormal-monomials", 1.0, t0, failures, "Gram matrices exactly identity")
+    return failures, "Gram matrices exactly identity"
 
 
 def random_series(rng: np.random.Generator, m: int, max_degree: int, terms: int) -> NcSeries:
@@ -318,9 +323,9 @@ def random_tuple(rng: np.random.Generator, m: int, n: int, scale: float = 1.0) -
     return MatrixTuple(mats)
 
 
-def criterion_8(seed: int | None = None) -> CriterionResult:
+@_criterion(8, "nc-function-axioms", 10.0)
+def nc_function_axioms(seed: int | None) -> tuple[list[str], str]:
     """Randomized direct-sum and similarity invariance of series evaluation."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     rng = np.random.default_rng(91008)
     for trial in range(200):
@@ -348,13 +353,13 @@ def criterion_8(seed: int | None = None) -> CriterionResult:
         denom = max(1.0, float(np.linalg.norm(direct)))
         if float(np.linalg.norm(conj - direct)) / denom > 1e-9:
             failures.append(f"trial {trial}: similarity residual too large")
-    return _finish(8, "nc-function-axioms", 10.0, t0, failures, "200 randomized trials")
+    return failures, "200 randomized trials"
 
 
-def criterion_9(seed: int | None = None) -> CriterionResult:
+@_criterion(9, "membership-and-kernel", 60.0)
+def membership_and_kernel(seed: int | None) -> tuple[list[str], str]:
     """Membership bound dominates partial sums; kernel pairing reproduces point
     evaluations; the kernel section Gram is positive up to its tail bound."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     rng = np.random.default_rng(91009)
     for trial in range(50):
@@ -396,13 +401,13 @@ def criterion_9(seed: int | None = None) -> CriterionResult:
         min_eig = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0])
         if tail is None or min_eig < -2.0 * tail - 1e-10:
             failures.append(f"trial {trial}: min eigenvalue {min_eig:.2e} below -2*tail")
-    return _finish(9, "membership-and-kernel", 60.0, t0, failures, "bounds, reproduction, positivity")
+    return failures, "bounds, reproduction, positivity"
 
 
-def criterion_10(seed: int | None = None) -> CriterionResult:
+@_criterion(10, "freeness-decay", 300.0, mc_seed=91010)
+def freeness_decay(seed: int | None) -> tuple[list[str], str]:
     """Alternating product U1 U2 U1 U2 of centered factors: |estimate| decreases
     across N and ends within 3 SE of zero."""
-    t0 = time.perf_counter()
     failures: list[str] = []
     factors = [
         FreenessFactor(1, {1: 1.0}),
@@ -410,28 +415,14 @@ def criterion_10(seed: int | None = None) -> CriterionResult:
         FreenessFactor(1, {1: 1.0}),
         FreenessFactor(2, {1: 1.0}),
     ]
-    stream = SeededStream(MC_SEEDS[10] if seed is None else seed, 0)
+    stream = SeededStream(seed, 0)
     report = freeness_diagnostic(factors, [4, 8, 16, 32], 10_000, stream)
     if not report.monotone_decreasing:
         failures.append(f"|means| not decreasing: {[f'{x:.2e}' for x in report.abs_means]}")
     if not report.final_within_3se:
         failures.append("final estimate not within 3 SE of zero")
     trend = " > ".join(f"{x:.1e}" for x in report.abs_means)
-    return _finish(10, "freeness-decay", 300.0, t0, failures, trend)
-
-
-CRITERIA: dict[int, Callable[..., CriterionResult]] = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
+    return failures, trend
 
 
 def run_all(seed: int | None = None, only: Sequence[int] | None = None) -> list[CriterionResult]:

@@ -33,8 +33,9 @@ from .hardy import (
     pairing_grid,
     upsilon_membership,
 )
-from .weingarten import DEFAULT_TABLE, ExactEngineError, haar_entry_moment
+from .weingarten import DEFAULT_TABLE, BoundaryKind, ExactEngineError, haar_entry_moment
 from .words import MatrixTuple, NcSeries, SeriesFormatError, SpectralConditionError, Word
+from .words import _check_alphabets, _check_integer, _json_integer
 
 __all__ = ["cli", "main", "entry", "SelfTestFailure", "TupleFormatError"]
 
@@ -73,9 +74,8 @@ def load_series(path: str) -> NcSeries:
 def _load_series_files(paths: Sequence[str], m_check: int | None) -> list[NcSeries]:
     """The series of a grid command, on one alphabet that matches --m if given."""
     series = [load_series(path) for path in paths]
+    _check_alphabets(*(s.m for s in series))
     m = series[0].m
-    if any(s.m != m for s in series):
-        raise click.UsageError("series files use different alphabet sizes")
     if m_check is not None and m_check != m:
         raise click.UsageError(f"--m {m_check} does not match series alphabet size {m}")
     return series
@@ -86,8 +86,9 @@ def load_tuple(path: str) -> MatrixTuple:
     data = _read_json(path, TupleFormatError)
     if not isinstance(data, dict) or not {"m", "n", "matrices"} <= set(data):
         raise TupleFormatError(f'{path}: need keys "m", "n", "matrices"')
-    m, n, mats = data["m"], data["n"], data["matrices"]
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 0:
+    m, n = (_json_integer(data[key], f'{path}: "{key}"', TupleFormatError) for key in "mn")
+    mats = data["matrices"]
+    if m < 1 or n < 0:
         raise TupleFormatError(f"{path}: invalid m or n")
     if not isinstance(mats, list) or len(mats) != m:
         raise TupleFormatError(f"{path}: expected {m} matrices")
@@ -107,13 +108,6 @@ def load_tuple(path: str) -> MatrixTuple:
         raise TupleFormatError(f"{path}: {exc}") from None
 
 
-def _integer(entry: dict, key: str) -> int:
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FreenessStructureError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def load_factors(path: str) -> list[FreenessFactor]:
     """Factor file: [{"letter": 1, "terms": [{"power": 1, "re": 1.0, "im": 0.0}]}]."""
     data = _read_json(path, FreenessStructureError)
@@ -122,11 +116,12 @@ def load_factors(path: str) -> list[FreenessFactor]:
     factors = []
     for idx, fac in enumerate(data):
         try:
-            terms = {
-                _integer(term, "power"): complex(float(term["re"]), float(term.get("im", 0.0)))
-                for term in fac["terms"]
-            }
-            factors.append(FreenessFactor(_integer(fac, "letter"), terms))
+            letter = _json_integer(fac["letter"], "letter", FreenessStructureError)
+            terms = {}
+            for term in fac["terms"]:
+                power = _json_integer(term["power"], "power", FreenessStructureError)
+                terms[power] = complex(float(term["re"]), float(term.get("im", 0.0)))
+            factors.append(FreenessFactor(letter, terms))
         except (TypeError, KeyError, ValueError) as exc:
             raise FreenessStructureError(f"{path}: factor {idx}: {exc}") from None
     return factors
@@ -203,8 +198,7 @@ def _sampling(engine: str, samples: int, seed: int | None) -> tuple[SeededStream
     sampling engine checks --samples and reads NC_HARDY_SEED."""
     if engine == "exact":
         return None, {}
-    if samples < 2:
-        raise click.UsageError("--samples must be >= 2 for Monte Carlo engines")
+    _check_integer(samples, "samples", 2)
     seed = default_seed() if seed is None else seed
     return SeededStream(seed, 0), {"samples": samples, "seed": seed}
 
@@ -310,7 +304,10 @@ def cmd_pairing(
         raise click.UsageError("csv output supports engine=exact or engine=mc only")
     f, g = _load_series_files((f_file, g_file), m_check)
     stream, sampling = _sampling(engine, samples, seed)
-    boundary = _space_for(space, f.m).boundary(row=space == "ball-row")
+    if space == "ball-row":
+        boundary = BoundaryKind.ball_row(f.m)
+    else:
+        boundary = _space_for(space, f.m).boundary()
     n_grid = n_grid or (2, 4, 8)
     r_grid = r_grid or (1.0,)
     exact = pairing_grid(f, g, boundary, r_grid, n_grid) if engine != "mc" else ()

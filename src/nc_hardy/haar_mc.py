@@ -94,7 +94,7 @@ import numpy as np
 
 from .weingarten import BoundaryKind
 from .words import MatrixTuple, NcSeries, Word, _series_sums, _walk_words
-from .words import _check_alphabets, _check_grid, _check_level, _check_radius, _check_samples
+from .words import _check_alphabets, _check_grid, _check_integer, _check_radius
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -182,7 +182,7 @@ class MCEstimate:
     stream_plan: int = STREAM_PLAN
 
     def __post_init__(self) -> None:
-        _check_samples(self.samples)
+        _check_integer(self.samples, "samples", 2)
         if not (cmath.isfinite(self.mean) and 0 <= self.std_error < float("inf")):
             raise ValueError(f"need a finite mean and std_error >= 0, got {self}")
 
@@ -287,10 +287,8 @@ def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
 
 def _check_count(N: int, count: int | None) -> int:
     """The number of samples a sampler draws: count, or 1 when it is None."""
-    _check_level(N)
-    if count is not None and count < 1:
-        raise ValueError("count must be >= 1")
-    return count if count is not None else 1
+    _check_integer(N, "N", 1)
+    return 1 if count is None else _check_integer(count, "count", 1)
 
 
 def sample_haar_unitary(
@@ -379,8 +377,8 @@ def _mc_estimate(
     integrand: Callable[[np.ndarray], np.ndarray],
     workers: int = 1,
 ) -> MCEstimate:
-    _check_level(N)
-    _check_samples(samples)
+    _check_integer(N, "N", 1)
+    samples = _check_integer(samples, "samples", 2)
 
     def run_chunk(job: tuple[int, int]) -> tuple[int, complex, float]:
         idx, size = job
@@ -534,7 +532,7 @@ def freeness_diagnostic(
                 "consecutive factors must use different ensembles"
             )
     _check_grid(N_grid)
-    levels = [_check_level(n) for n in N_grid]
+    levels = [_check_integer(n, "N", 1) for n in N_grid]
     m = max(fac.letter for fac in factors)
     kind = BoundaryKind.polydisc(m)
     stream = stream if stream is not None else default_stream()

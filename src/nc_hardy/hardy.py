@@ -9,7 +9,7 @@ values carry a standard error.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isfinite, sqrt
+from math import isfinite
 from typing import Literal, Sequence
 
 import numpy as np
@@ -22,8 +22,9 @@ from .weingarten import (
     sesquilinear_moment_exact,
 )
 from .words import MatrixTuple, NcSeries, Word, series_eval, spectral_theta, word_eval
-from .words import _check_alphabets, _check_engine, _check_grid, _check_letters, _check_level
+from .words import _check_alphabets, _check_engine, _check_grid, _check_integer, _check_letters
 from .words import _check_radius, _check_unit_radius, _check_weight
+from .words import _geometric_tail, _top_eigenvalue
 
 __all__ = [
     "SpaceKind",
@@ -57,8 +58,7 @@ class SpaceKind:
     def __post_init__(self) -> None:
         if self.family not in ("polydisc", "ball"):
             raise ValueError("family must be 'polydisc' or 'ball'")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        object.__setattr__(self, "m", _check_integer(self.m, "m", 1))
 
     @classmethod
     def polydisc(cls, m: int) -> "SpaceKind":
@@ -68,10 +68,10 @@ class SpaceKind:
     def ball(cls, m: int) -> "SpaceKind":
         return cls("ball", m)
 
-    def boundary(self, row: bool = False) -> BoundaryKind:
+    def boundary(self) -> BoundaryKind:
         if self.family == "polydisc":
             return BoundaryKind.polydisc(self.m)
-        return BoundaryKind.ball_row(self.m) if row else BoundaryKind.ball_column(self.m)
+        return BoundaryKind.ball_column(self.m)
 
     def stratum_divisor(self, length: int) -> int:
         """Exact integer divisor for a length-l stratum: 1 or m^l."""
@@ -109,7 +109,7 @@ def pairing_grid(
     """
     _check_engine(engine)
     _check_radius(*r_grid)
-    levels = [_check_level(n) for n in N_grid]
+    levels = [_check_integer(n, "N", 1) for n in N_grid]
     if engine == "mc":
         stream = stream if stream is not None else default_stream()
     cells = []
@@ -208,7 +208,7 @@ def coeff_recover(
     _check_grid(N_grid)
     _check_letters(f.m, w)
     _check_alphabets(f.m, kind.m)
-    levels = sorted({_check_level(n) for n in N_grid})
+    levels = sorted({_check_integer(n, "N", 1) for n in N_grid})
     boundary = kind.boundary()
     prefactor = kind.stratum_divisor(len(w)) / r ** len(w)
     cells = []
@@ -322,13 +322,6 @@ class UpsilonVerdict:
         }
 
 
-def _op_norm(mat: np.ndarray) -> float:
-    if mat.shape[0] == 0:
-        return 0.0
-    herm = (mat + mat.conj().T) / 2
-    return float(np.linalg.eigvalsh(herm)[-1])
-
-
 def upsilon_membership(
     X: MatrixTuple,
     p: float,
@@ -347,8 +340,7 @@ def upsilon_membership(
     the full partial-sum profile.
     """
     _check_weight(p)
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+    max_degree = _check_integer(max_degree, "max_degree", 1)
     if not isfinite(divergence_threshold):
         raise ValueError(f"divergence_threshold must be finite, got {divergence_threshold}")
     theta = spectral_theta(X, p)
@@ -356,16 +348,16 @@ def upsilon_membership(
     stratum = np.eye(n, dtype=complex)
     partial = np.eye(n, dtype=complex)
     stratum_norms = [1.0]
-    partial_norms = [_op_norm(partial)]
+    partial_norms = [_top_eigenvalue(partial)]
     zero_at: int | None = None
     for l in range(1, max_degree + 1):
         stratum = p * sum(
             a.conj().T @ stratum @ a for a in X.entries
         )
         partial = partial + stratum
-        t_norm = _op_norm(stratum)
+        t_norm = _top_eigenvalue(stratum)
         stratum_norms.append(t_norm)
-        partial_norms.append(_op_norm(partial))
+        partial_norms.append(_top_eigenvalue(partial))
         if t_norm == 0.0:
             zero_at = l
             break
@@ -415,8 +407,7 @@ def kernel_eval(
     """
     _check_alphabets(X.m, Y.m)
     _check_weight(p)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    max_degree = _check_integer(max_degree, "max_degree", 0)
     n, mm = X.n, Y.n
     dim = n * mm
     left = [np.kron(a, np.eye(mm, dtype=complex)) for a in X.entries]
@@ -430,8 +421,7 @@ def kernel_eval(
     theta_y = spectral_theta(Y, p)
     tail = None
     if theta_x < 1.0 and theta_y < 1.0:
-        bx = theta_x ** ((max_degree + 1) / 2) / (1.0 - sqrt(theta_x))
-        by = theta_y ** ((max_degree + 1) / 2) / (1.0 - sqrt(theta_y))
+        bx, by = (_geometric_tail(1.0, theta, max_degree) for theta in (theta_x, theta_y))
         tail = bx * by
     total.setflags(write=False)
     return KernelValue(value=total, truncation_degree=max_degree, tail_bound=tail)

@@ -24,7 +24,7 @@ from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .words import NcSeries, Word, _check_alphabets, _check_letters, _check_level, _check_radius
+from .words import NcSeries, Word, _check_alphabets, _check_integer, _check_letters, _check_radius
 
 __all__ = [
     "ExactEngineError",
@@ -232,7 +232,7 @@ class WeingartenTable:
                 f"order n = {n} outside supported range [1, {self.max_n}]"
             )
         for dim in dims:
-            _check_level(dim)
+            _check_integer(dim, "N", 1)
 
     def values(self, n: int, N: int) -> Mapping[tuple[int, ...], Fraction]:
         """All Wg(N, .) of order n, keyed by cycle type."""
@@ -308,7 +308,7 @@ def haar_entry_moment(
     double sum over permutation pairs (sigma, tau) matching row and column
     indices, weighted by Wg(N, tau sigma^{-1}).
     """
-    N = _check_level(N)
+    N = _check_integer(N, "N", 1)
     for i, j in list(ups) + list(conjs):
         if not (1 <= i <= N and 1 <= j <= N):
             raise ValueError(f"entry index ({i}, {j}) outside [1, {N}]^2")
@@ -348,8 +348,7 @@ class BoundaryKind:
     def __post_init__(self) -> None:
         if self.family not in self._FAMILIES:
             raise ValueError(f"family must be one of {self._FAMILIES}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        object.__setattr__(self, "m", _check_integer(self.m, "m", 1))
 
     @classmethod
     def polydisc(cls, m: int) -> "BoundaryKind":
@@ -401,7 +400,7 @@ def pairing_moment_exact(
     Unbalanced letter counts yield an exact rational zero with no Weingarten
     work at all.
     """
-    N = _check_level(N)
+    N = _check_integer(N, "N", 1)
     _check_letters(kind.m, w, v)
     tab = table if table is not None else DEFAULT_TABLE
     if kind.family == "polydisc":
@@ -501,14 +500,13 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
     for letter in sorted(set(wl)):
         v_pos = [k + 1 for k, x in enumerate(vl) if x == letter]
         w_pos = [k + 1 for k, x in enumerate(wl) if x == letter]
-        nr = len(v_pos)
-        if nr > table.max_n:
-            raise MultiplicityLimitError(
-                f"letter {letter} has multiplicity {nr} > max_n = {table.max_n}"
-            )
-        letters.append((nr, v_pos, w_pos))
+        letters.append((len(v_pos), v_pos, w_pos))
     # The last letter is summed out in closed form, so the deepest goes last.
     letters.sort(key=lambda item: item[0])
+    # Every table is fetched before the first permutation is enumerated, so
+    # the table refuses an order above its limit before any work.
+    wgs = [_over_common_denominator(table.values(nr, N)) for nr, _, _ in letters[:-1]]
+    K = table.free_sums(letters[-1][0], N, N)
 
     def row_edges(sig, v_pos, w_pos):
         return [(var(-v_pos[a] + 1), var(w_pos[sig[a]] - 1)) for a in range(len(sig))]
@@ -520,8 +518,7 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
     states = {tuple(ends): 1}
     denominator = 1
     powers = [N ** c for c in range(s + t + 2)]
-    for nr, v_pos, w_pos in letters[:-1]:
-        wg, wg_den = _over_common_denominator(table.values(nr, N))
+    for (nr, v_pos, w_pos), (wg, wg_den) in zip(letters[:-1], wgs):
         denominator *= wg_den
         perms = list(permutations(range(nr)))
         rows = [row_edges(sig, v_pos, w_pos) for sig in perms]
@@ -548,13 +545,7 @@ def _pairing_polydisc(w: Word, v: Word, N: int, table: WeingartenTable) -> Fract
     nr, v_pos, w_pos = letters[-1]
     fixed = [(sig, row_edges(sig, v_pos, w_pos)) for sig in permutations(range(nr))]
     return _close_free_letter(
-        states,
-        denominator,
-        fixed,
-        [var(-p) for p in v_pos],
-        [var(p) for p in w_pos],
-        table.free_sums(nr, N, N),
-        N,
+        states, denominator, fixed, [var(-p) for p in v_pos], [var(p) for p in w_pos], K, N
     )
 
 
@@ -601,7 +592,7 @@ def sesquilinear_moment_exact(
     finite r is allowed, since the integrand is a polynomial in r.
     """
     _check_alphabets(f.m, g.m, kind.m)
-    N = _check_level(N)
+    N = _check_integer(N, "N", 1)
     _check_radius(r)
     total = 0j
     for wv, gw in g.items():

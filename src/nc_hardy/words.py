@@ -132,8 +132,7 @@ class NcSeries:
     __slots__ = ("_m", "_coeffs")
 
     def __init__(self, m: int, coeffs: Mapping[WordLike, complex] | None = None) -> None:
-        if m < 1:
-            raise ValueError("alphabet size m must be >= 1")
+        m = _check_integer(m, "m", 1)
         store: dict[Word, complex] = {}
         for key, value in (coeffs or {}).items():
             word = _as_word(key)
@@ -217,8 +216,8 @@ class NcSeries:
     def from_json_dict(cls, data: object) -> "NcSeries":
         if not isinstance(data, dict) or "m" not in data or "terms" not in data:
             raise SeriesFormatError('series JSON must be an object with "m" and "terms"')
-        m = data["m"]
-        if not isinstance(m, int) or m < 1:
+        m = _json_integer(data["m"], '"m"', SeriesFormatError)
+        if m < 1:
             raise SeriesFormatError('"m" must be a positive integer')
         terms = data["terms"]
         if not isinstance(terms, list):
@@ -233,6 +232,8 @@ class NcSeries:
                 raise SeriesFormatError(f"term {idx}: {exc}") from None
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise SeriesFormatError(f"term {idx}: coefficient is not finite")
+            # A letter outside the alphabet is malformed input here, not a
+            # precondition of a computation, so it is a format error.
             if word.max_letter() > m:
                 raise SeriesFormatError(f"term {idx}: letter out of range for m = {m}")
             if word in coeffs:
@@ -356,15 +357,27 @@ def _check_weight(p: float) -> None:
         raise ValueError(f"p must be finite and positive, got {p}")
 
 
-def _check_level(N: int) -> int:
-    """N as an int; reject a level that is not an integer >= 1 (numpy ints pass)."""
+def _check_integer(value: int, name: str, least: int) -> int:
+    """value as an int; reject one that is not an integer >= least (numpy ints pass).
+
+    The one rule for every integer input: a level N (>= 1), an alphabet size
+    m (>= 1), a truncation degree, a sample count (>= 2) and a draw count.
+    """
     try:
-        n = operator.index(N)
+        n = operator.index(value)
     except TypeError:
-        raise ValueError(f"N must be an integer, got {N!r}") from None
-    if n < 1:
-        raise ValueError("N must be >= 1")
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
     return n
+
+
+def _json_integer(value: object, name: str, error: type[ValueError]) -> int:
+    """value if it is a JSON integer; else the loader's format error (a bool,
+    a float or a string is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _check_radius(*radii: float) -> None:
@@ -391,12 +404,6 @@ def _check_letters(m: int, *words: Word) -> None:
     bad = max(map(Word.max_letter, words))
     if bad > m:
         raise AlphabetMismatchError(f"word letter {bad} outside alphabet [1, {m}]")
-
-
-def _check_samples(samples: int) -> None:
-    """Reject a Monte Carlo sample count below 2."""
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
 
 
 def _check_grid(*grids: Sequence) -> None:
@@ -451,13 +458,24 @@ def similarity(X: MatrixTuple, T: np.ndarray) -> MatrixTuple:
     return MatrixTuple([T @ a @ Tinv for a in X.entries])
 
 
+def _top_eigenvalue(mat: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian part of mat (0.0 for the empty matrix)."""
+    if mat.shape[0] == 0:
+        return 0.0
+    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[-1])
+
+
 def spectral_theta(X: MatrixTuple, p: float) -> float:
     """Largest eigenvalue of p * sum_i Xi* Xi (0.0 for the empty dimension)."""
     if X.n == 0:
         return 0.0
-    s = sum(a.conj().T @ a for a in X.entries)
-    s = (s + s.conj().T) / 2
-    return float(p * np.linalg.eigvalsh(s)[-1])
+    return p * _top_eigenvalue(sum(a.conj().T @ a for a in X.entries))
+
+
+def _geometric_tail(scale: float, theta: float, degree: int) -> float:
+    """scale * theta^((L+1)/2) / (1 - sqrt(theta)) for L = degree: the geometric
+    bound on the terms past degree L."""
+    return scale * theta ** ((degree + 1) / 2) / (1.0 - math.sqrt(theta))
 
 
 def series_eval_tail_bounded(
@@ -484,8 +502,7 @@ def series_eval_tail_bounded(
     m and max_degree.
     """
     _check_weight(p)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    max_degree = _check_integer(max_degree, "max_degree", 0)
     theta = spectral_theta(X, p)
     if theta >= 1.0:
         raise SpectralConditionError(
@@ -510,5 +527,4 @@ def series_eval_tail_bounded(
     value = complex(coeff_fn(EMPTY_WORD)) * np.eye(X.n, dtype=complex)
     for w, prod in _walk_words(np.stack(X.entries)[None], all_words(X.m, depth)[1:]):
         value += complex(coeff_fn(w)) * prod[0]
-    tail = norm_val * theta ** ((max_degree + 1) / 2) / (1.0 - math.sqrt(theta))
-    return value, tail
+    return value, _geometric_tail(norm_val, theta, max_degree)

@@ -65,6 +65,10 @@ def write_tuple(tmp_path, name, mats):
     return str(path)
 
 
+def _no_call(*args, **kwargs):
+    raise AssertionError("the library ran")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -231,6 +235,34 @@ class TestPairingCommand:
         res = run_cli("pairing", crossterm_file, crossterm_file, "--m", "3")
         assert res.returncode == 1
 
+    def test_series_on_different_alphabets_is_a_precondition_error(
+        self, run_cli, tmp_path, crossterm_file
+    ):
+        other = tmp_path / "m3.json"
+        other.write_text(json.dumps(NcSeries(3, {(1, 3): 1.0}).to_json_dict()))
+        res = run_cli("pairing", crossterm_file, str(other))
+        assert res.returncode == 2
+        assert "precondition error: alphabet sizes differ: 2, 3" in res.stderr
+
+    def test_too_few_samples_is_a_precondition_error(self, run_cli, crossterm_file, monkeypatch):
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", _no_call)
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", _no_call)
+        for engine in ("mc", "both"):
+            res = run_cli(
+                "pairing", crossterm_file, crossterm_file, "--engine", engine, "--samples", "1"
+            )
+            assert res.returncode == 2, engine
+            assert "samples must be >= 2" in res.stderr
+            assert res.stdout == ""
+
+    def test_series_alphabet_size_must_be_a_json_integer(self, run_cli, tmp_path, crossterm_file):
+        for m in (True, 1.5, "1"):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({"m": m, "terms": [{"word": [1], "re": 1.0}]}))
+            res = run_cli("pairing", str(bad), crossterm_file)
+            assert res.returncode == 1, m
+            assert "input error" in res.stderr and '"m" must be an integer' in res.stderr
+
     def test_zero_dimension_is_a_precondition_error(self, crossterm_file):
         args = ["pairing", crossterm_file, crossterm_file, "--N", "0", "--samples", "100"]
         for engine in ("exact", "mc"):
@@ -317,6 +349,23 @@ class TestRecoverCommand:
         data = json.loads(res.stdout)
         assert all(row["value_re"] == 0.0 for row in data["rows"])
         assert all(row["exact"] for row in data["rows"])
+
+
+class TestTupleFile:
+    def test_sizes_must_be_json_integers(self, run_cli, tmp_path):
+        good = {"m": 1, "n": 1, "matrices": [[[[0.5, 0.0]]]]}
+        for key in ("m", "n"):
+            for value in (True, 1.5, "1"):
+                path = tmp_path / "bad.json"
+                path.write_text(json.dumps({**good, key: value}))
+                for command in (["upsilon", str(path)], ["kernel", str(path), str(path)]):
+                    res = run_cli(*command)
+                    assert res.returncode == 1, (command, key, value)
+                    assert "input error" in res.stderr
+                    assert f'"{key}" must be an integer' in res.stderr
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(good))
+        assert run_cli("upsilon", str(path)).returncode == 0
 
 
 class TestUpsilonCommand:

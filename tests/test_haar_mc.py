@@ -98,6 +98,17 @@ class TestSamplers:
             1, 2, n_dim, n_dim,
         )
 
+    def test_count_must_be_an_integer(self):
+        for count in (2.0, 2.5):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                sample_boundary(BoundaryKind.polydisc(2), 4, SeededStream(7), count=count)
+            with pytest.raises(ValueError, match="count must be an integer"):
+                sample_haar_unitary(4, SeededStream(7), count=count)
+        assert np.array_equal(
+            sample_boundary(BoundaryKind.polydisc(2), 4, SeededStream(7), count=np.int64(3)),
+            sample_boundary(BoundaryKind.polydisc(2), 4, SeededStream(7), count=3),
+        )
+
     def test_lapack_route_bits_pinned(self):
         # 16 x 16 is above the Gram-Schmidt crossover, as in the mc-large
         # benchmark; the digest was captured under stream plan 2
@@ -217,6 +228,20 @@ class TestMcPairing:
         est = mc_pairing(f, f, 0.5, BoundaryKind.polydisc(2), 3, 1000, SeededStream(31))
         assert abs(est.mean - 0.25) <= 1e-12
         assert est.std_error <= 1e-12
+
+    def test_samples_must_be_an_integer_at_least_two(self):
+        f = NcSeries(2, {(1,): 1.0})
+        kind = BoundaryKind.polydisc(2)
+        for samples, message in ((2.5, "samples must be an integer"), (1, "samples must be >= 2")):
+            with pytest.raises(ValueError, match=message):
+                mc_pairing(f, f, 1.0, kind, 3, samples, SeededStream(31))
+            with pytest.raises(ValueError, match=message):
+                mc_recovery_integral(f, Word((1,)), 1.0, kind, 3, samples, SeededStream(31))
+            with pytest.raises(ValueError, match=message):
+                MCEstimate(mean=0j, std_error=0.0, samples=samples, seed=0)
+        assert mc_pairing(f, f, 1.0, kind, 3, np.int64(100), SeededStream(31)) == (
+            mc_pairing(f, f, 1.0, kind, 3, 100, SeededStream(31))
+        )
 
     def test_crossterm_agrees_with_exact(self):
         f = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})

@@ -277,6 +277,24 @@ class TestBoundaryNormProfile:
                 )
 
 
+class TestAlphabetSize:
+    def test_non_integer_alphabet_size_refused_by_every_type(self):
+        for make in (
+            lambda m: NcSeries(m, {(1, 2): 1.0}),
+            SpaceKind.polydisc,
+            SpaceKind.ball,
+            BoundaryKind.polydisc,
+            BoundaryKind.ball_column,
+        ):
+            for m in (2.5, 2.0, "2"):
+                with pytest.raises(ValueError, match=f"m must be an integer, got {m!r}"):
+                    make(m)
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                make(0)
+            m = make(np.int64(2)).m
+            assert m == 2 and type(m) is int
+
+
 class TestUpsilonMembership:
     def test_spectral_fast_path(self):
         x = MatrixTuple([0.5 * np.eye(2), 0.5 * np.eye(2)])
@@ -345,8 +363,24 @@ class TestUpsilonMembership:
             with pytest.raises(ValueError, match="divergence_threshold"):
                 upsilon_membership(x, 1.0, max_degree=5, divergence_threshold=bad)
 
+    def test_max_degree_must_be_an_integer(self):
+        x = MatrixTuple([0.5 * np.eye(2)])
+        with pytest.raises(ValueError, match="max_degree must be an integer, got 2.5"):
+            upsilon_membership(x, 1.0, max_degree=2.5)
+        with pytest.raises(ValueError, match="max_degree must be >= 1"):
+            upsilon_membership(x, 1.0, max_degree=0)
+        assert upsilon_membership(x, 1.0, max_degree=np.int64(4)).checked_degree == 4
+
 
 class TestKernel:
+    def test_max_degree_must_be_an_integer(self):
+        x = MatrixTuple([0.5 * np.eye(2)])
+        with pytest.raises(ValueError, match="max_degree must be an integer, got 2.5"):
+            kernel_eval(x, x, 1.0, max_degree=2.5)
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            kernel_eval(x, x, 1.0, max_degree=-1)
+        assert kernel_eval(x, x, 1.0, max_degree=np.int64(3)).truncation_degree == 3
+
     def test_zero_second_argument(self):
         x = MatrixTuple([0.3 * np.eye(2), 0.1 * np.eye(2)])
         y = MatrixTuple([np.zeros((3, 3)), np.zeros((3, 3))])

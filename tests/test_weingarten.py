@@ -546,6 +546,16 @@ class TestPairingExact:
         with pytest.raises(MultiplicityLimitError):
             pairing_moment_exact(long_word, long_word, BoundaryKind.ball_column(2), 10)
 
+    def test_multiplicity_refused_before_any_enumeration(self, monkeypatch):
+        def no_edges(*args, **kwargs):
+            raise AssertionError("a permutation was enumerated")
+
+        monkeypatch.setattr("nc_hardy.weingarten._add_edges", no_edges)
+        w = Word((1,) * 7 + (2,) * 6)
+        v = Word((2,) * 6 + (1,) * 7)
+        with pytest.raises(MultiplicityLimitError):
+            pairing_moment_exact(w, v, BoundaryKind.polydisc(2), 3, WeingartenTable())
+
     def test_alphabet_guard(self):
         with pytest.raises(AlphabetMismatchError):
             pairing_moment_exact(Word((3,)), Word((3,)), BoundaryKind.polydisc(2), 2)

@@ -131,6 +131,13 @@ class TestNcSeries:
         with pytest.raises(SeriesFormatError):
             NcSeries.from_json_dict({"m": 2})
 
+    def test_json_alphabet_size_must_be_a_json_integer(self):
+        for m in (True, 1.5, 2.0, "1"):
+            with pytest.raises(SeriesFormatError, match='"m" must be an integer'):
+                NcSeries.from_json_dict({"m": m, "terms": [{"word": [1], "re": 1.0}]})
+        with pytest.raises(SeriesFormatError, match="positive"):
+            NcSeries.from_json_dict({"m": 0, "terms": []})
+
 
 class TestSeriesEval:
     def test_single_linear_term(self):
@@ -389,3 +396,14 @@ class TestTailBoundedEval:
         for p in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 series_eval_tail_bounded(NcSeries.zero(1), X, p, 3)
+
+    def test_max_degree_must_be_an_integer(self):
+        X = MatrixTuple([np.array([[0.1]])])
+        for source, norm in ((NcSeries(1, {(1,): 1.0}), None), (lambda w: 1.0, 1.0)):
+            with pytest.raises(ValueError, match="max_degree must be an integer, got 2.5"):
+                series_eval_tail_bounded(source, X, 1.0, 2.5, coeff_norm=norm)
+            with pytest.raises(ValueError, match="max_degree must be >= 0"):
+                series_eval_tail_bounded(source, X, 1.0, -1, coeff_norm=norm)
+            assert series_eval_tail_bounded(source, X, 1.0, np.int64(3), coeff_norm=norm)[1] == (
+                series_eval_tail_bounded(source, X, 1.0, 3, coeff_norm=norm)[1]
+            )
