@@ -212,11 +212,13 @@ def asymptotic_orthogonality(seed: int | None) -> tuple[list[str], str]:
 @_criterion(5, "ball-normalization", 300.0, mc_seed=91005)
 def ball_normalization(seed: int | None) -> tuple[list[str], str]:
     """Ball-boundary normalization: degree-1 means equal 1/m exactly; degree-2
-    means increase monotonically to 1/m^2; Monte Carlo agrees within 3 SE.
+    means increase monotonically to 1/m^2; Monte Carlo agrees within 3 SE,
+    and its symmetry residual is within 3 SE of 0.
 
-    The Monte Carlo checks include 1 + X1, whose value 1 + 1/m needs the mean
-    of Tr(X1) to vanish: that holds for a Haar column, but not for one whose
-    QR factor keeps the phases of R's diagonal.
+    The Monte Carlo checks include 1 + X1, whose residual 2 Re Tr(X1)/N has
+    mean 0 for a Haar column, but not for one whose QR factor keeps the
+    phases of R's diagonal.  The stratified value 1 + Tr(X1* X1)/N cannot
+    see those phases.
     """
     failures: list[str] = []
     lane = 0
@@ -251,6 +253,9 @@ def ball_normalization(seed: int | None) -> tuple[list[str], str]:
             delta = est.delta_in_se(target)
             if delta > 3.0:
                 failures.append(f"m={m}: MC of {label} off exact by {delta:.2f} SE")
+            delta = est.residual_in_se()
+            if delta > 3.0:
+                failures.append(f"m={m}: MC of {label}: symmetry residual off 0 by {delta:.2f} SE")
     return failures, "degree 1 exact, degree 2 -> 1/m^2"
 
 

@@ -316,7 +316,10 @@ def cmd_pairing(
     if engine == "both":
         rows = []
         for cell, mc_cell in zip(exact, sampled):
-            est = MCEstimate(mc_cell.value, mc_cell.std_error, samples, stream.seed)
+            est = MCEstimate(
+                mc_cell.value, mc_cell.std_error, samples, stream.seed,
+                residual=mc_cell.residual, residual_std_error=mc_cell.residual_std_error,
+            )
             rows.append(
                 {
                     **_cell_dict(cell),

@@ -4,17 +4,41 @@ estimation of tracial integrals.
 Every estimate is a deterministic function of (seed, stream plan): samples are
 drawn in fixed-size chunks, each chunk from its own derived substream, and the
 per-chunk partial sums are reduced in chunk order.  Results therefore do not
-depend on the worker count.  Plain averaging only; no variance reduction, so
-the estimator stays an independent, auditable oracle for the exact engine.
+depend on the worker count.
 
-Stream plan 3 (``STREAM_PLAN``): a polydisc point is m Haar unitaries of size
-N.  A ball point needs only the first block column of a Haar unitary of size
-mN, an mN x N isometry split into its m blocks.  The row ball is the column
-ball's adjoint: the row blocks of U are the adjoints of the column blocks of
-U*, which is Haar too.  Each draw is the Q factor, with positive diagonal of
-R, of a rows x cols complex Ginibre block (Mezzadri, math-ph/0609050), and
-``_boundary_batches`` computes it on one of two routes, chosen by the
-per-matrix QR work rows * cols**2:
+Stream plan 4 (``STREAM_PLAN``) draws what plan 3 drew and changes the pairing
+estimator.  All three boundary measures are invariant under the torus action
+X -> (e^{i t_1} X_1, ..., e^{i t_m} X_m), so Tr(g_b(X)* f_a(X)) has mean 0
+whenever the letter multisets a and b of two words differ (Collins and
+Sniady 2006).  A pairing sample is therefore split by letter multiset
+(``_pairing_values``): the stratified value sum_a Tr(G_a* F_a)/N, which is
+the estimator, and the cross-stratum symmetry residual, its mean reported
+with its own standard error.  The split rests on a symmetry of the measure,
+not on the exact engine, and the residual keeps that symmetry under test: a
+sampler whose column phases are not uniform moves the residual's mean off 0
+(acceptance criterion 5), where the stratified value need not move.  So the
+estimator stays an independent oracle for the exact engine.  On one
+4096-sample chunk of each of the mc-small benchmark's five templates (every
+word of length <= 2 with random phases, N = 4), the variance per sample fell
+8 to 206 times, by a geometric mean of 93 (seed 5) and 78 (seed 99).  The
+freeness diagnostic keeps plain averaging.
+
+Where every stratum's trace is constant, as for a one-word stratum on the
+polydisc (Tr((U^w)* U^w)/N = 1), the stratified value is exact up to
+rounding: its sample spread is rounding noise and gives an SE near 1e-17,
+while the mean is off the exact value by a few ulps.  So no pairing SE is
+reported below ``_ROUNDING_ULPS`` ulps of the bound on one sample
+(``_sample_bounds``).  Without that floor, a pinned m = 1 polydisc pairing
+in the tests has a mean one ulp off its exact value and 28 SE away.
+
+A polydisc point is m Haar unitaries of size N.  A ball point needs only the
+first block column of a Haar unitary of size mN, an mN x N isometry split
+into its m blocks.  The row ball is the column ball's adjoint: the row
+blocks of U are the adjoints of the column blocks of U*, which is Haar too.
+Each draw is the Q factor, with positive diagonal of R, of a rows x cols
+complex Ginibre block (Mezzadri, math-ph/0609050), and ``_boundary_batches``
+computes it on one of two routes, chosen by the per-matrix QR work
+rows * cols**2:
 
 * at or below ``_GRAM_SCHMIDT_MAX_WORK``, batched Gram-Schmidt: the block is
   drawn batch-last, shape (cols, rows, count), and orthonormalized in place
@@ -53,23 +77,26 @@ column ball's blocks.  Each chunk reports its count, sum and second
 central moment, merged in chunk order (Chan, Golub and LeVeque 1979), so the
 standard error does not cancel when the integrand concentrates.
 
-A chunk's integrand (1/N) Tr(g(r_g X)* f(r_f X)) evaluates f and g in one
-prefix-trie walk of their words (``words._series_sums``), and evaluates f
-once when (g, r_g) is (f, r_f).  Neither changes a bit of the sums, so the
-evaluation is not part of the stream plan.
+A chunk's pairing integrand evaluates f and g in one prefix-trie walk of
+their words (``words._stratum_sums``), and evaluates f once when (g, r_g) is
+(f, r_f).
 
-On the LAPACK route a chunk draws its whole Ginibre block first, so the
-stream does not see the split, and then runs everything after the draw in
-sub-batches of ``_SUB_BATCH`` samples: the Q step, the phase fix, the ball
-layout and the integrand.  The sub-batches' values are joined into the
-chunk's value array, which is summed once, so every chunk keeps the bits of
-its (count, sum, M2) for any sub-batch size.  Only the working set shrinks:
-at N = 16 a whole-chunk stack is 16.8 MB, and the QR, the phase fix and
-every matmul of the word walk stream several of them through memory.  Per
-4096-sample chunk of ``mc_pairing(f, f)`` on the mc-large benchmark's shape
-(polydisc, m = 2, N = 16, a degree-5 series with 16 distinct prefixes;
-draw, Q step, layout, integrand and sum), in ms, one worker, median of 5 to
-7 interleaved runs, same host as above:
+A chunk draws its whole block first on both routes, so the stream does not
+see the split, and then runs the rest in sub-batches of S samples, with S
+chosen from N alone: S = _SUB_BATCH // N**2 (at least 1), so a sub-batch's
+N x N stack holds about 16,384 entries, 64 samples at N = 16 and 1,024 at
+N = 4.  On the LAPACK route each sub-batch gets its Q step, phase fix,
+layout and integrand; on the Gram-Schmidt route, whose column norms and
+projections run along the rows axis, the whole block is orthonormalized
+first and each sub-batch gets its layout and integrand.  The sub-batches'
+values are joined into the chunk's value rows, each summed once, so every
+chunk keeps the bits of its (count, sum, M2) for any sub-batch size.  Only
+the working set shrinks: at N = 16 a whole-chunk stack is 16.8 MB, and the
+QR, the phase fix and every matmul of the word walk stream several of them
+through memory.  Per 4096-sample chunk of ``mc_pairing(f, f)`` on the
+mc-large benchmark's shape (polydisc, m = 2, N = 16, a degree-5 series with
+16 distinct prefixes; draw, Q step, layout, integrand and sum), in ms, one
+worker, median of 5 to 7 interleaved runs, same host as above, under plan 3:
 
     S      16    64   256  1024  4096 (whole chunk)
     ms    536   455   483   606   748
@@ -77,23 +104,27 @@ draw, Q step, layout, integrand and sum), in ms, one worker, median of 5 to
 Below 64 samples numpy's per-call overhead takes over.  Slicing only the
 integrand, with the Q step over the whole chunk, is slower: over six
 alternating 20 s mc-large runs it read 1.78 against 2.04 ops/s and peaked
-at 329 against 137 MB.  The Gram-Schmidt route stays whole: its
-reductions run along the rows axis, and its shapes are small.
+at 329 against 137 MB.  The stratum sums of one word length are alive at
+once, so the Gram-Schmidt route is split too: handed out whole, a 4096-sample
+ball_row chunk at m = 3, N = 4 keeps them all, and its draw and integrand
+peak at 16.9 MB (tracemalloc) in place of 6.6 MB in sub-batches.
 """
 
 from __future__ import annotations
 
 import cmath
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from math import sqrt
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .weingarten import BoundaryKind
-from .words import MatrixTuple, NcSeries, Word, _series_sums, _walk_words
+from .words import MatrixTuple, NcSeries, Word, _stratum, _stratum_sums, _walk_words
 from .words import _check_alphabets, _check_grid, _check_integer, _check_radius
 
 __all__ = [
@@ -117,16 +148,26 @@ __all__ = [
 
 # Chunk size is part of the stream plan: changing it changes the draws.
 CHUNK_SAMPLES = 4096
-# Bumped whenever the draws or the reduction of a fixed seed change.
-STREAM_PLAN = 3
+# Bumped whenever the draws, the estimator or the reduction of a fixed seed
+# change.
+STREAM_PLAN = 4
 # Per-matrix QR work rows * cols**2 up to which _boundary_batches
 # orthonormalizes by batched Gram-Schmidt rather than LAPACK QR.  Measured per 4096-sample
 # chunk (table in the module docstring): Gram-Schmidt wins or ties at every
 # shape up to 10 x 10 (1000) and ties or loses from 16 x 8 (1024) on.
 _GRAM_SCHMIDT_MAX_WORK = 1000
-# Samples per sub-batch of a LAPACK-route chunk (table in the module
-# docstring); any value gives the same bits.
-_SUB_BATCH = 64
+# Matrix entries per N x N stack of a chunk's sub-batch: a sub-batch has
+# _SUB_BATCH // N**2 samples (at least 1), 64 at N = 16 and 1024 at N = 4
+# (tables in the module docstring).  Any value gives the same bits.
+_SUB_BATCH = 16384
+# No pairing standard error is reported below this many ulps of the bound on
+# one sample (``_sample_bounds``).  Where a stratum's trace does not vary,
+# as for a one-word stratum on the polydisc, Tr((U^w)* U^w)/N = 1, the
+# sample spread is rounding noise and the SE is near 1e-17, while the mean
+# is off the exact value by rounding of up to 2.2 ulps of the bound (83
+# polydisc pairings and recoveries, m = 1 to 3, N = 1 to 32, words up to
+# length 6).
+_ROUNDING_ULPS = 64
 
 _ENV_SEED = "NC_HARDY_SEED"
 DEFAULT_SEED = 424242
@@ -148,8 +189,8 @@ class SeededStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _check_integer(self.seed, "seed", 0)
+        _check_integer(self.stream_id, "stream_id", 0)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -170,58 +211,87 @@ def default_stream() -> SeededStream:
     return SeededStream(default_seed())
 
 
+_Chunks = Sequence[tuple[int, complex, float]]
+
+
+def _merge(chunks: _Chunks) -> tuple[int, complex, float]:
+    """(count, mean, standard error of the mean) of per-chunk (count, sum, M2),
+    merged in the given order."""
+    count, total, m2 = 0, 0j, 0.0
+    for n, s, q in chunks:
+        if count:
+            delta = s / n - total / count
+            m2 += q + abs(delta) ** 2 * (count * n / (count + n))
+        else:
+            m2 = q
+        count += n
+        total += s
+    return count, complex(total / count), sqrt(m2 / (count - 1) / count)
+
+
+def _in_se(diff: float, se: float) -> float:
+    """diff in units of se (inf if se = 0 and diff is not)."""
+    if se == 0.0:
+        return 0.0 if diff == 0.0 else float("inf")
+    return diff / se
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     """Monte Carlo result contract: mean, standard error, sample count, seed,
-    and the stream plan that drew the samples."""
+    the stream plan that drew the samples and, for a pairing, the symmetry
+    residual with its standard error (``_pairing_values``)."""
 
     mean: complex
     std_error: float
     samples: int
     seed: int
     stream_plan: int = STREAM_PLAN
+    residual: complex | None = None
+    residual_std_error: float | None = None
 
     def __post_init__(self) -> None:
         _check_integer(self.samples, "samples", 2)
-        if not (cmath.isfinite(self.mean) and 0 <= self.std_error < float("inf")):
-            raise ValueError(f"need a finite mean and std_error >= 0, got {self}")
+        if (self.residual is None) != (self.residual_std_error is None):
+            raise ValueError("a residual needs its std_error, and only a residual has one")
+        pairs = [(self.mean, self.std_error)]
+        if self.residual is not None:
+            pairs.append((self.residual, self.residual_std_error))
+        for mean, se in pairs:
+            if not (cmath.isfinite(mean) and 0 <= se < float("inf")):
+                raise ValueError(f"need a finite mean and std_error >= 0, got {self}")
 
     @classmethod
     def from_chunks(
-        cls, chunks: Sequence[tuple[int, complex, float]], seed: int
+        cls, chunks: _Chunks, seed: int, residual_chunks: _Chunks | None = None
     ) -> "MCEstimate":
-        """Reduce per-chunk (count, sum, M2), in the given order.
+        """Reduce per-chunk (count, sum, M2) of the estimate and, if given, of
+        its residual, each in the given order.
 
         M2 is the chunk's sum of |z - chunk mean|^2.  The mean is the sum of
         the chunk sums over the sample count; the M2s are merged one chunk at
         a time by the update of Chan, Golub and LeVeque (1979), which never
         subtracts two large sums.
         """
-        count, total, m2 = 0, 0j, 0.0
-        for n, s, q in chunks:
-            if count:
-                delta = s / n - total / count
-                m2 += q + abs(delta) ** 2 * (count * n / (count + n))
-            else:
-                m2 = q
-            count += n
-            total += s
-        return cls(
-            mean=complex(total / count),
-            std_error=sqrt(m2 / (count - 1) / count),
-            samples=count,
-            seed=seed,
-        )
+        count, mean, se = _merge(chunks)
+        residual = residual_se = None
+        if residual_chunks is not None:
+            _, residual, residual_se = _merge(residual_chunks)
+        return cls(mean, se, count, seed, residual=residual, residual_std_error=residual_se)
 
     def delta_in_se(self, reference: complex) -> float:
         """|mean - reference| in units of std_error (inf if std_error = 0 and they differ)."""
-        diff = abs(self.mean - complex(reference))
-        if self.std_error == 0.0:
-            return 0.0 if diff == 0.0 else float("inf")
-        return diff / self.std_error
+        return _in_se(abs(self.mean - complex(reference)), self.std_error)
+
+    def residual_in_se(self) -> float:
+        """|residual| in units of its std_error, for a pairing estimate: the
+        residual's expectation is 0 under a torus-invariant sampler."""
+        if self.residual is None:
+            raise ValueError("this estimate has no symmetry residual: only a pairing has one")
+        return _in_se(abs(self.residual), self.residual_std_error)
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "re": self.mean.real,
             "im": self.mean.imag,
             "std_error": self.std_error,
@@ -229,6 +299,13 @@ class MCEstimate:
             "seed": self.seed,
             "stream_plan": self.stream_plan,
         }
+        if self.residual is not None:
+            out["symmetry_residual"] = {
+                "re": self.residual.real,
+                "im": self.residual.imag,
+                "std_error": self.residual_std_error,
+            }
+        return out
 
 
 def _gram_schmidt_q(
@@ -244,8 +321,9 @@ def _gram_schmidt_q(
     enough": Giraud, Langou and Rozloznik 2005), each step over all count
     samples.  R's diagonal is the residual norms, real and positive, so there
     is no phase to fix and no scale to apply.  Its column norms and
-    projections are sums along the rows axis, not the batch axis; this route
-    is never split into sub-batches.
+    projections are sums along the rows axis, not the batch axis, so the
+    whole chunk is orthonormalized at once and only then handed out in
+    sub-batches.
     """
     q = rng.standard_normal((cols, rows, count, 2)).view(complex)[..., 0]
     for j in range(cols):
@@ -306,10 +384,15 @@ def sample_haar_unitary(
 
 
 def _boundary_batches(
-    kind: BoundaryKind, N: int, count: int, rng: np.random.Generator, batch: int
+    kind: BoundaryKind,
+    N: int,
+    count: int,
+    rng: np.random.Generator,
+    batch: int | None = None,
 ) -> Iterator[np.ndarray]:
     """The boundary stack of count samples, shape (count, m, N, N), handed
-    out in consecutive C-contiguous sub-batches of at most batch samples.
+    out in consecutive C-contiguous sub-batches of at most batch samples, by
+    default _SUB_BATCH // N**2 of them (at least 1).
 
     polydisc: count * m Haar unitaries of size N.  ball_column: the mN x N
     first block column of a Haar unitary of size mN, split into its m blocks
@@ -318,17 +401,20 @@ def _boundary_batches(
     written as the conjugate transpose in the same one copy that makes the
     column ball contiguous.
 
-    The route is chosen here, and only here, by the per-matrix QR work
-    rows * N**2 (module docstring); the routes draw different blocks from
-    rng, so the route is part of the stream plan.  The Gram-Schmidt route
-    (``_gram_schmidt_q``) orthonormalizes the whole block in one pass and
-    hands it out in one batch.  The LAPACK route draws the whole Ginibre
-    block first (``_ginibre``), so the draws do not depend on batch, and
-    then each sub-batch gets its Q factors and phase fix
+    The route and the sub-batch size are chosen here, and only here.  The
+    route follows the per-matrix QR work rows * N**2 (module docstring); the
+    routes draw different blocks from rng, so the route is part of the
+    stream plan.  Both draw the whole block first, so the draws do not
+    depend on batch.  The Gram-Schmidt route (``_gram_schmidt_q``) then
+    orthonormalizes the whole block in one pass, and each sub-batch gets its
+    layout from its own slice of the Q factors.  On the LAPACK route
+    (``_ginibre``) each sub-batch gets its Q factors and phase fix
     (``_phase_fixed_q``) and its layout from its own slice of the block.
     """
     m = kind.m
     mats, rows = (m, N) if kind.family == "polydisc" else (1, m * N)
+    if batch is None:
+        batch = max(1, _SUB_BATCH // (N * N))
 
     def layout(q: np.ndarray, size: int) -> np.ndarray:
         blocks = q.reshape(size, m, N, N)
@@ -337,13 +423,12 @@ def _boundary_batches(
             return np.conjugate(blocks.transpose(0, 1, 3, 2), out=out)
         return np.ascontiguousarray(blocks)
 
-    if rows * N * N <= _GRAM_SCHMIDT_MAX_WORK:
-        yield layout(_gram_schmidt_q(count * mats, rows, N, rng), count)
-        return
-    z = _ginibre(count * mats, rows, N, rng)
+    gram_schmidt = rows * N * N <= _GRAM_SCHMIDT_MAX_WORK
+    block = (_gram_schmidt_q if gram_schmidt else _ginibre)(count * mats, rows, N, rng)
     for lo in range(0, count, batch):
         hi = min(lo + batch, count)
-        yield layout(_phase_fixed_q(z[lo * mats : hi * mats]), hi - lo)
+        part = block[lo * mats : hi * mats]
+        yield layout(part if gram_schmidt else _phase_fixed_q(part), hi - lo)
 
 
 def sample_boundary(
@@ -377,16 +462,22 @@ def _mc_estimate(
     integrand: Callable[[np.ndarray], np.ndarray],
     workers: int = 1,
 ) -> MCEstimate:
+    """The estimate of an integrand that maps each sub-batch of boundary
+    points to its values, shape (rows, batch): row 0 is the estimate, and a
+    row 1 its symmetry residual.  Each row of each chunk is summed once into
+    its own (count, sum, M2)."""
     _check_integer(N, "N", 1)
     samples = _check_integer(samples, "samples", 2)
+    workers = _check_integer(workers, "workers", 1)
 
-    def run_chunk(job: tuple[int, int]) -> tuple[int, complex, float]:
+    def run_chunk(job: tuple[int, int]) -> list[tuple[int, complex, float]]:
         idx, size = job
-        rng = stream.chunk_generator(idx)
-        batches = _boundary_batches(kind, N, size, rng, _SUB_BATCH)
-        z = np.concatenate([integrand(xs) for xs in batches])
-        total = complex(z.sum())
-        return size, total, float(np.square(np.abs(z - total / size)).sum())
+        batches = _boundary_batches(kind, N, size, stream.chunk_generator(idx))
+        moments = []
+        for z in np.concatenate([integrand(xs) for xs in batches], axis=1):
+            total = complex(z.sum())
+            moments.append((size, total, float(np.square(np.abs(z - total / size)).sum())))
+        return moments
 
     jobs = list(enumerate(_chunk_plan(samples)))
     if workers > 1:
@@ -394,7 +485,8 @@ def _mc_estimate(
             partials = list(pool.map(run_chunk, jobs))
     else:
         partials = [run_chunk(job) for job in jobs]
-    return MCEstimate.from_chunks(partials, stream.seed)  # fixed chunk order
+    mean_chunks, *residual_chunks = zip(*partials)
+    return MCEstimate.from_chunks(mean_chunks, stream.seed, *residual_chunks)  # fixed chunk order
 
 
 def _mc_weighted_pairing(
@@ -411,17 +503,87 @@ def _mc_weighted_pairing(
     _check_alphabets(f.m, g.m, kind.m)
     _check_radius(r_f)
     stream = stream if stream is not None else default_stream()
+    integrand = partial(_pairing_values, f=f, g=g, r_f=r_f, r_g=r_g)
+    est = _mc_estimate(kind, N, samples, stream, integrand, workers)
+    value_bound, residual_bound = _sample_bounds(f, g, r_f, r_g)
+    ulps = _ROUNDING_ULPS * sys.float_info.epsilon
+    return replace(
+        est,
+        std_error=max(est.std_error, ulps * value_bound),
+        residual_std_error=max(est.residual_std_error, ulps * residual_bound),
+    )
 
+
+def _sample_bounds(f: NcSeries, g: NcSeries, r_f: float, r_g: float) -> tuple[float, float]:
+    """Bounds on |value| and |residual| of one pairing sample
+    (``_pairing_values``): sums of |f_v g_w| r_f^|v| r_g^|w| over the word
+    pairs of one stratum and of two different strata.  Each |Tr(X^w* X^v)|/N
+    is at most 1, since every letter of a boundary point is a contraction."""
+    weights: dict[bytes, list[float]] = {}
+    for k, (h, r) in enumerate(((f, r_f), (g, r_g))):
+        for w, c in h.coeffs.items():
+            weights.setdefault(_stratum(w), [0.0, 0.0])[k] += abs(c) * r ** len(w)
+    value = sum(a * b for a, b in weights.values())
+    total = sum(a for a, _ in weights.values()) * sum(b for _, b in weights.values())
+    return value, max(total - value, 0.0)
+
+
+def _plus(run: np.ndarray | None, part: np.ndarray | None) -> np.ndarray | None:
+    """run + part, in place in run, where None is an empty sum."""
+    if part is None:
+        return run
+    if run is None:
+        return part
+    run += part
+    return run
+
+
+def _dot(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | float:
+    """sum_k a[:, k] b[:, k] per batch point, where None is an empty sum."""
+    if a is None or b is None:
+        return 0.0
+    return np.einsum("bk,bk->b", a, b)
+
+
+def _pairing_values(
+    xs: np.ndarray, f: NcSeries, g: NcSeries, r_f: float, r_g: float
+) -> np.ndarray:
+    """(1/N) Tr(g(r_g X)* f(r_f X)) at every batch point, split by letter
+    multiset, shape (2, count): row 0 is the stratified value
+    sum_a Tr(G_a* F_a) / N and row 1 the symmetry residual
+    sum_{a != b} Tr(G_b* F_a) / N, where F_a and G_a are the sums of f's and
+    g's terms over the words of stratum a (``words._stratum_sums``).
+
+    The two rows add up to the whole integrand.  The residual's expectation
+    is 0 under any measure invariant under X -> (e^{i t_1} X_1, ...,
+    e^{i t_m} X_m), so the stratified value alone is the estimator; the
+    residual tests the sampler for that symmetry.  It is summed from the
+    cross terms of each stratum with the strata before it, never as a
+    difference with the whole integrand, so it does not cancel when the
+    value is large.  Each trace is a dot product of the flattened matrices,
+    with g's sums conjugated in place.  When (g, r_g) is (f, r_f), f is
+    evaluated once and only real parts are needed, as each cross term comes
+    with its conjugate, so the dot products run on float views, at half the
+    arithmetic, with no conjugated copy and one dot per cross term pair.
+    """
+    count, N = xs.shape[0], xs.shape[2]
     same = (f, r_f) == (g, r_g)
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
+    value, residual = np.zeros(count, complex), np.zeros(count, complex)
+    f_run = g_run = None
+    for sums in _stratum_sums(xs, [(f, r_f)] if same else [(f, r_f), (g, r_g)]):
+        fa, ga = sums[0], sums[-1]
         if same:
-            fx = gx = _series_sums(xs, [(f, r_f)])[0]
+            fa = ga = fa.reshape(count, -1).view(float)
         else:
-            fx, gx = _series_sums(xs, [(f, r_f), (g, r_g)])
-        return np.einsum("bij,bij->b", gx.conj(), fx) / N
-
-    return _mc_estimate(kind, N, samples, stream, integrand, workers)
+            fa = None if fa is None else fa.reshape(count, -1)
+            ga = None if ga is None else np.conjugate(ga, out=ga).reshape(count, -1)
+        value += _dot(ga, fa)
+        cross = _dot(g_run, fa)
+        residual += cross
+        residual += cross if same else _dot(ga, f_run)
+        f_run = _plus(f_run, fa)
+        g_run = f_run if same else _plus(g_run, ga)
+    return np.stack([value, residual]) / N
 
 
 def mc_pairing(
@@ -468,10 +630,10 @@ class FreenessFactor:
     __slots__ = ("letter", "terms")
 
     def __init__(self, letter: int, terms: Mapping[int, complex]) -> None:
-        if letter < 1:
-            raise FreenessStructureError("ensemble letters are 1-based")
+        letter = _check_integer(letter, "letter", 1, FreenessStructureError)
         cleaned = {}
         for power, coeff in terms.items():
+            power = _check_integer(power, "power", None, FreenessStructureError)
             c = complex(coeff)
             if not cmath.isfinite(c):
                 raise FreenessStructureError(f"power {power}: coefficient {c} is not finite")
@@ -481,7 +643,7 @@ class FreenessFactor:
                 raise FreenessStructureError(
                     "constant terms are not centered: drop the power-0 coefficient"
                 )
-            cleaned[int(power)] = c
+            cleaned[power] = c
         if not cleaned:
             raise FreenessStructureError("factor has no nonzero centered terms")
         self.letter = letter
@@ -533,6 +695,7 @@ def freeness_diagnostic(
             )
     _check_grid(N_grid)
     levels = [_check_integer(n, "N", 1) for n in N_grid]
+    _check_integer(workers, "workers", 1)
     m = max(fac.letter for fac in factors)
     kind = BoundaryKind.polydisc(m)
     stream = stream if stream is not None else default_stream()
@@ -548,7 +711,7 @@ def freeness_diagnostic(
                     u = powers[Word((fac.letter,) * abs(power))]
                     mat += coeff * (u if power > 0 else u.conj().transpose(0, 2, 1))
                 running = mat if running is None else running @ mat
-            return np.einsum("bii->b", running) / n
+            return (np.einsum("bii->b", running) / n)[None]
 
         return integrand
 

@@ -80,13 +80,16 @@ class SpaceKind:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One evaluated cell of an (r, N) grid."""
+    """One evaluated cell of an (r, N) grid; a Monte Carlo pairing or
+    recovery cell also has its symmetry residual (``MCEstimate``)."""
 
     r: float
     N: int
     value: complex
     std_error: float | None
     exact: bool
+    residual: complex | None = None
+    residual_std_error: float | None = None
 
 
 def pairing_grid(
@@ -105,11 +108,13 @@ def pairing_grid(
 
     Cells come in r-major order.  The Monte Carlo engine draws the k-th cell
     from stream.lane(k), so every cell has its own substream.  The engine and
-    every r and N of the grid are checked before the first cell runs.
+    every r and N of the grid and workers are checked before the first cell
+    runs.
     """
     _check_engine(engine)
     _check_radius(*r_grid)
     levels = [_check_integer(n, "N", 1) for n in N_grid]
+    _check_integer(workers, "workers", 1)
     if engine == "mc":
         stream = stream if stream is not None else default_stream()
     cells = []
@@ -123,7 +128,10 @@ def pairing_grid(
                     f, g, r, boundary, n, samples, stream.lane(len(cells)), workers
                 )
                 cells.append(
-                    GridCell(r=float(r), N=n, value=est.mean, std_error=est.std_error, exact=False)
+                    GridCell(
+                        r=float(r), N=n, value=est.mean, std_error=est.std_error, exact=False,
+                        residual=est.residual, residual_std_error=est.residual_std_error,
+                    )
                 )
     return tuple(cells)
 
@@ -201,7 +209,8 @@ def coeff_recover(
     ball: only words v with |v| = |w| pair nontrivially, and on that stratum
     the r^{|v|} scale cancels the r^{-|w|} prefactor identically, so r never
     enters the exact route.  Each cell still records the caller's r.  The
-    engine, r and every level are checked before the first cell runs.
+    engine, r, every level and workers are checked before the first cell
+    runs.
     """
     _check_engine(engine)
     _check_unit_radius(r)
@@ -209,6 +218,7 @@ def coeff_recover(
     _check_letters(f.m, w)
     _check_alphabets(f.m, kind.m)
     levels = sorted({_check_integer(n, "N", 1) for n in N_grid})
+    _check_integer(workers, "workers", 1)
     boundary = kind.boundary()
     prefactor = kind.stratum_divisor(len(w)) / r ** len(w)
     cells = []
@@ -230,6 +240,8 @@ def coeff_recover(
                     value=prefactor * est.mean,
                     std_error=abs(prefactor) * est.std_error,
                     exact=False,
+                    residual=prefactor * est.residual,
+                    residual_std_error=abs(prefactor) * est.residual_std_error,
                 )
             )
     recovered = cells[-1].value

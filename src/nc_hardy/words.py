@@ -337,6 +337,41 @@ def _series_sums(
     return sums
 
 
+def _stratum(w: Word) -> bytes:
+    """w's stratum, its letter multiset, as its sorted letters."""
+    return bytes(sorted(w._data))
+
+
+def _stratum_sums(
+    xs: np.ndarray, terms: Sequence[tuple[NcSeries, float]]
+) -> Iterator[list[np.ndarray | None]]:
+    """Per stratum, sum_{w in stratum} f_w (rX)^w at every batch point for each
+    (f, r) in terms (None where f has no word in it), in one walk.
+
+    A stratum is a letter multiset: the words whose sorted letters agree.
+    Every stratum lies within one word length, so strata come out length by
+    length, each length's in the order of their first words, and only one
+    length's sums are alive at a time.  Each sum adds its words in graded
+    order.
+    """
+    length, strata = 0, {}
+    for w, prod in _walk_words(xs, {w for f, _ in terms for w in f._coeffs}):
+        if len(w) > length:
+            yield from strata.values()
+            length, strata = len(w), {}
+        sums = strata.setdefault(_stratum(w), [None] * len(terms))
+        for k, (f, r) in enumerate(terms):
+            c = f._coeffs.get(w)
+            if c is None:
+                continue
+            term = (c * r ** len(w)) * prod
+            if sums[k] is None:
+                sums[k] = term
+            else:
+                sums[k] += term
+    yield from strata.values()
+
+
 def word_eval(X: MatrixTuple, w: Word) -> np.ndarray:
     """Ordered product X_{w_1} ... X_{w_t}; the empty word gives the identity."""
     _check_letters(X.m, w)
@@ -357,18 +392,23 @@ def _check_weight(p: float) -> None:
         raise ValueError(f"p must be finite and positive, got {p}")
 
 
-def _check_integer(value: int, name: str, least: int) -> int:
-    """value as an int; reject one that is not an integer >= least (numpy ints pass).
+def _check_integer(
+    value: int, name: str, least: int | None, error: type[ValueError] = ValueError
+) -> int:
+    """value as an int; reject one that is not an integer >= least (numpy ints
+    pass; least None sets no bound) with error.
 
     The one rule for every integer input: a level N (>= 1), an alphabet size
-    m (>= 1), a truncation degree, a sample count (>= 2) and a draw count.
+    m (>= 1), a truncation degree, a sample count (>= 2), a draw count, a
+    seed and stream id (>= 0), a worker count (>= 1), and a freeness factor's
+    letter (>= 1) and powers.
     """
     try:
         n = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}")
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and n < least:
+        raise error(f"{name} must be >= {least}")
     return n
 
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary, or use the CLI equivalent `nc-hardy selftest`.
 """
 
+import numpy as np
 import pytest
 
 from nc_hardy import acceptance
@@ -20,3 +21,18 @@ def test_criterion(number):
     print(line)
     assert result.passed, line
     assert result.seconds <= result.limit_seconds, line
+
+
+def test_criterion_5_catches_a_sampler_without_the_phase_fix(monkeypatch):
+    # LAPACK QR without the phase fix, forced onto criterion 5's ball shapes,
+    # keeps the signs of R's diagonal in Q's columns, so Tr(X1) no longer has
+    # mean 0.  The stratified value of 1 + X1, 1 + Tr(X1* X1)/N, ignores
+    # those phases; its symmetry residual 2 Re Tr(X1)/N does not.
+    monkeypatch.setattr("nc_hardy.haar_mc._GRAM_SCHMIDT_MAX_WORK", 0)
+    monkeypatch.setattr("nc_hardy.haar_mc._phase_fixed_q", lambda z: np.linalg.qr(z)[0])
+    result = acceptance.CRITERIA[5](seed=None)
+    assert not result.passed
+    failures = result.details.split("; ")
+    assert [f.split(" off 0 by ")[0] for f in failures] == [
+        f"m={m}: MC of 1 + X1: symmetry residual" for m in (2, 3)
+    ]

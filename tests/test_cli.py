@@ -210,6 +210,26 @@ class TestPairingCommand:
         assert "delta_se" in row and "mc" in row
         assert data["flags"]["cross_oracle_within_3se"] is True
 
+    @pytest.mark.parametrize(
+        "series, r",
+        [
+            (NcSeries(2, {(): 0.3, (1,): 1.0, (1, 2): 0.7j}), "1.0"),
+            (NcSeries(1, {(): 0.5, (1,): 1.0, (1, 1): 0.5j, (1, 1, 1): -0.25}), "0.9"),
+        ],
+    )
+    def test_engine_both_agrees_on_one_word_strata(self, run_cli, tmp_path, series, r):
+        # on the polydisc every stratum here is one word, so the Monte Carlo
+        # value is exact up to rounding, and its SE is the rounding floor
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(series.to_json_dict()))
+        res = run_cli(
+            "pairing", str(path), str(path), "--space", "polydisc", "--r", r,
+            "--engine", "both", "--samples", "20000", "--format", "json",
+        )
+        data = json.loads(res.stdout)
+        assert all(row["delta_se"] <= 3.0 for row in data["rows"]), data["rows"]
+        assert data["flags"]["cross_oracle_within_3se"] is True
+
     def test_csv_rejects_both(self, run_cli, crossterm_file):
         res = run_cli(
             "pairing", crossterm_file, crossterm_file,

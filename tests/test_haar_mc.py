@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from nc_hardy import (
     pairing_moment_exact,
     sample_boundary,
     sample_haar_unitary,
+    sesquilinear_moment_exact,
 )
-from nc_hardy.haar_mc import CHUNK_SAMPLES, _GRAM_SCHMIDT_MAX_WORK, _boundary_batches
+from nc_hardy.haar_mc import CHUNK_SAMPLES, _GRAM_SCHMIDT_MAX_WORK, _SUB_BATCH, _boundary_batches
+from nc_hardy.haar_mc import _ROUNDING_ULPS, _pairing_values
+from nc_hardy.words import _series_sums
 
 
 class TestSeededStream:
@@ -38,6 +42,20 @@ class TestSeededStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             SeededStream(-1)
+
+    def test_seed_and_stream_id_follow_the_integer_rule(self):
+        for args, message in (
+            ((2.5,), "seed must be an integer, got 2.5"),
+            ((-1,), "seed must be >= 0"),
+            ((3, 1.5), "stream_id must be an integer, got 1.5"),
+            ((3, -1), "stream_id must be >= 0"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SeededStream(*args)
+        assert np.array_equal(
+            sample_haar_unitary(3, SeededStream(np.int64(5), np.int64(2))),
+            sample_haar_unitary(3, SeededStream(5, 2)),
+        )
 
     def test_env_seed(self, monkeypatch):
         from nc_hardy import default_seed
@@ -253,6 +271,8 @@ class TestMcPairing:
         g = NcSeries(2, {(2,): 1.0})
         est = mc_pairing(f, g, 1.0, BoundaryKind.polydisc(2), 3, 10_000, SeededStream(33))
         assert abs(est.mean) <= 3 * est.std_error + 1e-12
+        # X1 and X2 are different strata: the sampled cross term is the residual
+        assert est.residual_std_error > 0 and est.residual_in_se() <= 3.0
 
     def test_worker_count_irrelevant(self):
         # N = 3 takes the Gram-Schmidt route; the polydisc at N = 11 takes the
@@ -304,6 +324,7 @@ class TestMcPairing:
         )
         exact = float(pairing_moment_exact(Word(w), Word(v), kind, n_dim)) / n_dim
         assert abs(est.mean - exact) <= 5 * est.std_error + 1e-12, (est, exact)
+        assert est.residual_in_se() <= 3.0, est
 
     def test_sample_floor(self):
         f = NcSeries(1, {(1,): 1.0})
@@ -333,6 +354,19 @@ class TestMcPairing:
             est = mc_recovery_integral(f, Word((1,)), r, kind, 2, 4096, SeededStream(38))
             assert abs(est.mean - r) <= 5 * est.std_error + 1e-12
 
+    def test_workers_follow_the_integer_rule_before_any_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling ran")
+
+        monkeypatch.setattr("nc_hardy.haar_mc._boundary_batches", no_sampling)
+        f = NcSeries(2, {(1,): 1.0})
+        kind = BoundaryKind.polydisc(2)
+        for workers, message in ((2.5, "workers must be an integer"), (0, "workers must be >= 1")):
+            with pytest.raises(ValueError, match=message):
+                mc_pairing(f, f, 1.0, kind, 3, 100, SeededStream(39), workers=workers)
+            with pytest.raises(ValueError, match=message):
+                mc_recovery_integral(f, Word((1,)), 1.0, kind, 3, 100, SeededStream(39), workers)
+
     def test_dimension_floor(self):
         f = NcSeries(1, {(1,): 1.0})
         kind = BoundaryKind.polydisc(1)
@@ -346,7 +380,9 @@ class TestMcPairing:
 
 # float.hex of (re, im, std_error) of mc_pairing(f, g, 0.9) and
 # mc_recovery_integral(f, w, 0.9), 4396 samples (a full chunk and a remainder
-# chunk), captured before the LAPACK-route chunks were split into sub-batches
+# chunk), captured under stream plan 4; every sub-batch size and worker count
+# gives these bits.  On the polydisc at m = 1 every word is its own stratum,
+# so both SEs there are the rounding floor (_ROUNDING_ULPS)
 _F1 = NcSeries(1, {(): 0.5, (1,): 1.0, (1, 1): 0.5j, (1, 1, 1): -0.25})
 _G1 = NcSeries(1, {(1,): 0.75, (1, 1): -1.0, (1, 1, 1): 0.5j})
 _F2 = NcSeries(2, {(): 0.3, (1,): 1.0, (1, 2): 0.5, (2, 1): -0.5j, (2, 2, 1): 0.25})
@@ -354,18 +390,18 @@ _G2 = NcSeries(2, {(2,): 0.5j, (1, 2): 1.0, (2, 1): 0.25, (1, 2, 1): -0.5})
 _LAPACK_ROUTE_PINS = [
     (
         BoundaryKind.polydisc(1), 11, _F1, _G1, (1, 1),
-        ("0x1.36e88839957cbp-1", "-0x1.0bd3de46cdb69p-2", "0x1.47a3d017c333bp-10"),
-        ("-0x1.d19a2a1dbbd77p-13", "0x1.9b2dc6808deaap-2", "0x1.9e651af969e09p-10"),
+        ("0x1.370a3d70a3d70p-1", "-0x1.0be6149c6f370p-2", "0x1.0081c4fc1df34p-46"),
+        ("-0x1.5d0c426e13044p-66", "0x1.9eb851eb851ecp-2", "0x1.9eb851eb851ecp-48"),
     ),
     (
         BoundaryKind.ball_column(2), 8, _F2, _G2, (1, 2),
-        ("0x1.4f2fa4df0ea84p-4", "-0x1.51335db0a637cp-6", "0x1.44cd9e1f87502p-11"),
-        ("0x1.99ec0e7bee67ep-4", "-0x1.6b27c7ebbcf43p-11", "0x1.185f261ccb987p-11"),
+        ("0x1.4f890e568b406p-4", "-0x1.58b48ba3d3870p-6", "0x1.1fe8ce86e8b8bp-13"),
+        ("0x1.9c84581939cd2p-4", "-0x1.c755ec9a5b985p-11", "0x1.5d6523665ab92p-13"),
     ),
     (
         BoundaryKind.ball_row(2), 8, _F2, _G2, (2, 1),
-        ("0x1.4d692a381cb74p-4", "-0x1.5a7b2b268a3ecp-6", "0x1.9696a55d9408bp-11"),
-        ("0x1.3b0b9cfdbde2bp-13", "-0x1.9d6155b357d37p-4", "0x1.1a26c05db7d64p-11"),
+        ("0x1.4fbd72548fd46p-4", "-0x1.588027a5cef2dp-6", "0x1.2118931e8b3c6p-13"),
+        ("0x1.c755ec9a5b985p-11", "-0x1.9c84581939cd2p-4", "0x1.5d6523665ab93p-13"),
     ),
 ]
 
@@ -403,18 +439,19 @@ class TestSubBatches:
             (BoundaryKind.polydisc(2), 11),
             (BoundaryKind.ball_column(2), 8),
             (BoundaryKind.ball_row(2), 8),
-            (BoundaryKind.ball_row(3), 2),  # Gram-Schmidt: one whole batch
+            (BoundaryKind.ball_row(3), 2),  # Gram-Schmidt route
         ],
     )
     def test_batches_concatenate_to_the_whole_stack(self, kind, n_dim):
+        # both routes hand out sub-batches, by default _SUB_BATCH // N**2
+        # samples each
         whole = sample_boundary(kind, n_dim, SeededStream(64), count=300)
-        for batch in (1, 7, 64, 300):
+        for batch in (1, 7, 64, 300, None):
             parts = list(_boundary_batches(kind, n_dim, 300, SeededStream(64).generator(), batch))
             assert all(part.flags.c_contiguous for part in parts)
             assert np.array_equal(np.concatenate(parts), whole)
-            rows = n_dim if kind.family == "polydisc" else kind.m * n_dim
-            gram_schmidt = rows * n_dim**2 <= _GRAM_SCHMIDT_MAX_WORK
-            assert len(parts) == (1 if gram_schmidt else -(-300 // batch))
+            size = batch if batch is not None else max(1, _SUB_BATCH // n_dim**2)
+            assert len(parts) == -(-300 // size)
 
     @pytest.mark.parametrize("sub_batch", [1, 7, CHUNK_SAMPLES])
     def test_sub_batch_size_changes_no_bit(self, monkeypatch, sub_batch):
@@ -422,6 +459,118 @@ class TestSubBatches:
         kind, n_dim, f, g, _, pairing_pin, _ = _LAPACK_ROUTE_PINS[2]
         est = mc_pairing(f, g, 0.9, kind, n_dim, 4396, SeededStream(61), workers=2)
         assert _hex(est) == pairing_pin
+
+
+class TestStratification:
+    @pytest.mark.parametrize("family", ["polydisc", "ball_column", "ball_row"])
+    def test_value_and_residual_split_the_whole_integrand(self, family):
+        # the reference is stream plan 3's integrand (1/N) Tr(g(r_g X)* f(r_f X))
+        # and, per stratum, the same integrand of f's and g's terms there
+        n_dim = 3
+        xs = sample_boundary(BoundaryKind(family, 2), n_dim, SeededStream(90), count=200)
+        cases = (
+            (_F2, _F2, 0.9, 0.9),
+            (_F2, _G2, 0.9, 0.7),
+            (_F2, NcSeries.monomial(2, (2, 1)), 0.9, 1.0),
+        )
+        for f, g, r_f, r_g in cases:
+            values = _pairing_values(xs, f, g, r_f, r_g)
+            assert values.shape == (2, 200)
+            fx, gx = _series_sums(xs, [(f, r_f), (g, r_g)])
+            whole = np.einsum("bij,bij->b", gx.conj(), fx) / n_dim
+            scale = np.linalg.norm(fx, axis=(1, 2)) * np.linalg.norm(gx, axis=(1, 2)) / n_dim
+            assert np.all(np.abs(values[0] + values[1] - whole) <= 1e-12 * scale)
+            stratified = np.zeros(200, dtype=complex)
+            for stratum in {tuple(sorted(w)) for w in f.coeffs}:
+                f_part, g_part = (
+                    NcSeries(2, {w: c for w, c in h.coeffs.items() if tuple(sorted(w)) == stratum})
+                    for h in (f, g)
+                )
+                fa, ga = _series_sums(xs, [(f_part, r_f), (g_part, r_g)])
+                stratified += np.einsum("bij,bij->b", ga.conj(), fa) / n_dim
+            assert np.all(np.abs(values[0] - stratified) <= 1e-12 * scale)
+
+    def test_battery_words_agree_with_exact_and_residual_with_zero(self):
+        # the pairing battery's words (every word of length <= 3 at m = 2) as
+        # two series with unit coefficients of random phase
+        rng = np.random.default_rng(4001)
+        f, g = (
+            NcSeries(2, {w: np.exp(2j * np.pi * rng.random()) for w in all_words(2, 3)})
+            for _ in range(2)
+        )
+        kind = BoundaryKind.polydisc(2)
+        for pos, n_dim in enumerate((2, 4, 8)):
+            for h in (f, g):
+                est = mc_pairing(f, h, 1.0, kind, n_dim, 20_000, SeededStream(4001, pos))
+                exact = sesquilinear_moment_exact(f, h, 1.0, kind, n_dim)
+                assert est.delta_in_se(exact) <= 3.0, (n_dim, est, exact)
+                assert est.residual_in_se() <= 3.0, (n_dim, est)
+
+    def test_se_falls_across_strata_and_stays_within_one(self):
+        # one chunk, so plan 3's integrand can be recomputed on the same draws;
+        # X1X2 + X2X1 (criterion 2) is one stratum, 1 + X1 + X1X2 three
+        kind, n_dim, samples = BoundaryKind.polydisc(2), 4, CHUNK_SAMPLES
+        xs = np.concatenate(
+            list(_boundary_batches(kind, n_dim, samples, SeededStream(92).chunk_generator(0)))
+        )
+        single = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
+        multi = NcSeries(2, {(): 1.0, (1,): 1.0, (1, 2): 1.0})
+        ses = {}
+        for f in (single, multi):
+            est = mc_pairing(f, f, 1.0, kind, n_dim, samples, SeededStream(92))
+            fx = _series_sums(xs, [(f, 1.0)])[0]
+            whole = np.einsum("bij,bij->b", fx.conj(), fx).real / n_dim
+            ses[f] = est, whole.std(ddof=1) / np.sqrt(samples)
+        est, plan3_se = ses[single]
+        assert abs(est.std_error / plan3_se - 1) <= 1e-9
+        assert (est.residual, est.residual_std_error) == (0, 0)
+        est, plan3_se = ses[multi]
+        assert est.std_error <= plan3_se / 5
+        assert est.residual_std_error > 0
+
+    @pytest.mark.parametrize("n_dim", [4, 8])  # Gram-Schmidt and LAPACK routes
+    def test_every_field_keeps_its_bits_for_any_sub_batch(self, monkeypatch, n_dim):
+        kind = BoundaryKind.ball_row(2)
+        want = mc_pairing(_F2, _G2, 0.9, kind, n_dim, 4396, SeededStream(66))
+        for sub_batch in (n_dim**2, 7 * n_dim**2, 4396 * n_dim**2):  # 1, 7 and all samples
+            monkeypatch.setattr("nc_hardy.haar_mc._SUB_BATCH", sub_batch)
+            for workers in (1, 2):
+                est = mc_pairing(_F2, _G2, 0.9, kind, n_dim, 4396, SeededStream(66), workers=workers)
+                assert est == want
+
+    def test_one_word_strata_agree_with_exact_within_the_rounding_floor(self):
+        # on the polydisc a one-word stratum's trace Tr((U^w)* U^w)/N is 1 at
+        # every point, so each value below is exact up to rounding, and its
+        # sample spread is rounding noise: the SE is the floor
+        kind1, kind2 = BoundaryKind.polydisc(1), BoundaryKind.polydisc(2)
+        three = NcSeries(2, {(): 1.0, (1,): 1.0, (1, 2): 1.0})
+        plus, minus = NcSeries(2, {(1,): 1.0, (2,): 1.0}), NcSeries(2, {(1,): 1.0, (2,): -1.0})
+        ulp = _ROUNDING_ULPS * sys.float_info.epsilon
+        for f, g, kind in ((_F1, _F1, kind1), (three, three, kind2), (plus, minus, kind2)):
+            bound = sum(abs(c * g[w]) * 0.81 ** len(w) for w, c in f.coeffs.items())
+            for n_dim in (2, 4, 16):
+                est = mc_pairing(f, g, 0.9, kind, n_dim, 4396, SeededStream(68))
+                exact = sesquilinear_moment_exact(f, g, 0.9, kind, n_dim)
+                assert est.std_error == pytest.approx(ulp * bound, rel=1e-12)
+                assert est.delta_in_se(exact) <= 3.0, (n_dim, est, exact)
+
+    def test_residual_in_se_needs_a_residual(self):
+        factors = [FreenessFactor(1, {1: 1.0})]
+        row = freeness_diagnostic(factors, [3], 500, SeededStream(67)).rows[0]
+        with pytest.raises(ValueError, match="no symmetry residual"):
+            row.estimate.residual_in_se()
+
+    def test_json_reports_the_residual(self):
+        est = mc_pairing(_F2, _G2, 0.9, BoundaryKind.polydisc(2), 3, 500, SeededStream(67))
+        assert est.to_json_dict()["symmetry_residual"] == {
+            "re": est.residual.real,
+            "im": est.residual.imag,
+            "std_error": est.residual_std_error,
+        }
+        factors = [FreenessFactor(1, {1: 1.0})]
+        row = freeness_diagnostic(factors, [3], 500, SeededStream(67)).rows[0]
+        assert row.estimate.residual is None
+        assert "symmetry_residual" not in row.estimate.to_json_dict()
 
 
 class TestMCEstimate:
@@ -444,25 +593,41 @@ class TestMCEstimate:
         want_se = z.std(ddof=1) / np.sqrt(len(z))
         assert abs(est.std_error - want_se) < 1e-12
         assert (est.samples, est.seed, est.stream_plan) == (500, 9, STREAM_PLAN)
-        assert est.to_json_dict()["stream_plan"] == STREAM_PLAN == 3
+        assert est.to_json_dict()["stream_plan"] == STREAM_PLAN == 4
 
     def test_standard_error_survives_a_large_mean(self):
-        # (1/N) Tr(f(X)* f(X)) for f = a + b X1 is a^2 + b^2 + 2ab Re Tr(X1)/N,
-        # so its SE is ab times that of f = 1 + X1 on the same draws.  A
+        # f = a X1X2 + b X2X1 is one stratum, so (1/N) Tr(f(X)* f(X)) is the
+        # stratified value a^2 + b^2 + 2ab Re Tr((X1X2)* X2X1)/N, and its SE
+        # is ab times that of X1X2 + X2X1 on the same draws.  A
         # sum-of-squares reduction cancels to 0 here; the merge keeps it.
-        kind, stream = BoundaryKind.polydisc(1), SeededStream(3)
+        kind, stream = BoundaryKind.polydisc(2), SeededStream(3)
+        big = NcSeries(2, {(1, 2): 1e4, (2, 1): 1e-6})
+        unit = NcSeries(2, {(1, 2): 1.0, (2, 1): 1.0})
+        est = mc_pairing(big, big, 1.0, kind, 2, 8192, stream)
+        ref = mc_pairing(unit, unit, 1.0, kind, 2, 8192, stream)
+        assert abs(est.std_error / (1e-2 * ref.std_error) - 1) <= 1e-6
+        assert abs(est.std_error - 1.153e-4) <= 1e-7
+        # f = a + b X1 is two strata: its value a^2 + b^2 has no spread, so
+        # its SE is the rounding floor, and the cross term 2ab Re Tr(X1)/N
+        # is the residual, with the SE that the whole integrand had under
+        # stream plan 3 on these draws
+        kind = BoundaryKind.polydisc(1)
         big = NcSeries(1, {(): 1e4, (1,): 1e-6})
         unit = NcSeries(1, {(): 1.0, (1,): 1.0})
         est = mc_pairing(big, big, 1.0, kind, 2, 8192, stream)
         ref = mc_pairing(unit, unit, 1.0, kind, 2, 8192, stream)
-        assert abs(est.std_error / (1e-2 * ref.std_error) - 1) <= 1e-6
-        assert abs(est.std_error - 7.79e-5) <= 1e-7
+        assert (est.mean, est.std_error) == (1e8, _ROUNDING_ULPS * sys.float_info.epsilon * 1e8)
+        assert abs(est.residual_std_error / (1e-2 * ref.residual_std_error) - 1) <= 1e-6
+        assert abs(est.residual_std_error - 7.79e-5) <= 1e-7
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MCEstimate(mean=0j, std_error=0.0, samples=1, seed=0)
         with pytest.raises(ValueError):
             MCEstimate(mean=0j, std_error=-1.0, samples=5, seed=0)
+        for residual, se in ((0j, None), (None, 0.1), (complex("nan"), 0.1), (0j, -1.0)):
+            with pytest.raises(ValueError):
+                MCEstimate(0j, 0.0, 5, 0, residual=residual, residual_std_error=se)
 
     def test_non_finite_mean_or_std_error_rejected(self):
         nan, inf = float("nan"), float("inf")
@@ -541,6 +706,28 @@ class TestFreeness:
             freeness_diagnostic(factors, (64, 0), 20_000, SeededStream(56))
         with pytest.raises(ValueError, match="N must be an integer"):
             freeness_diagnostic(factors, (64, 4.5), 20_000, SeededStream(56))
+
+    def test_letter_and_powers_follow_the_integer_rule(self):
+        for letter, terms, message in (
+            (1, {1.5: 1.0}, "power must be an integer, got 1.5"),
+            (2.5, {1: 1.0}, "letter must be an integer, got 2.5"),
+            (0, {1: 1.0}, "letter must be >= 1"),
+        ):
+            with pytest.raises(FreenessStructureError, match=message):
+                FreenessFactor(letter, terms)
+        factor = FreenessFactor(np.int64(2), {np.int64(-1): 1.0})
+        assert (factor.letter, factor.terms) == (2, ((-1, 1.0),))
+        assert type(factor.letter) is int and type(factor.terms[0][0]) is int
+
+    def test_workers_checked_before_any_row(self, monkeypatch):
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr("nc_hardy.haar_mc._mc_estimate", no_row)
+        factors = [FreenessFactor(1, {1: 1.0}), FreenessFactor(2, {1: 1.0})]
+        for workers, message in ((2.5, "workers must be an integer"), (0, "workers must be >= 1")):
+            with pytest.raises(ValueError, match=message):
+                freeness_diagnostic(factors, [4, 8], 100, SeededStream(57), workers)
 
     def test_non_finite_coefficient_rejected(self):
         for bad in (float("nan"), float("inf"), complex(0.0, float("-inf")), complex(1.0, float("nan"))):

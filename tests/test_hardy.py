@@ -190,6 +190,7 @@ class TestPairingGrid:
             est = mc_pairing(self.F, self.G, cell.r, kind, cell.N, 500, stream.lane(k))
             assert not cell.exact
             assert (cell.value, cell.std_error) == (est.mean, est.std_error)
+            assert (cell.residual, cell.residual_std_error) == (est.residual, est.residual_std_error)
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
@@ -212,6 +213,22 @@ class TestPairingGrid:
         for engine in ("exact", "mc"):
             with pytest.raises(ValueError, match="N must be >= 1"):
                 pairing_grid(self.F, self.G, kind, [1.0], (16, 0), engine, samples=1_000_000)
+
+    def test_invalid_workers_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", _no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", _no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.mc_recovery_integral", _no_cell)
+        space = SpaceKind.polydisc(2)
+        for engine in ("exact", "mc"):
+            for workers, message in ((2.5, "workers must be an integer"), (0, "workers must be >= 1")):
+                with pytest.raises(ValueError, match=message):
+                    pairing_grid(
+                        self.F, self.G, space.boundary(), [1.0], [2], engine, workers=workers
+                    )
+                with pytest.raises(ValueError, match=message):
+                    boundary_norm_profile(self.F, space, [1.0], [2], engine, workers=workers)
+                with pytest.raises(ValueError, match=message):
+                    coeff_recover(self.F, Word((1,)), 1.0, space, [2], engine, workers=workers)
 
     def test_non_integer_level_refused_and_numpy_integers_accepted(self):
         kind = BoundaryKind.polydisc(2)
