@@ -411,23 +411,33 @@ def membership_and_kernel(seed: int | None) -> tuple[list[str], str]:
 
 @_criterion(10, "freeness-decay", 300.0, mc_seed=91010)
 def freeness_decay(seed: int | None) -> tuple[list[str], str]:
-    """Alternating product U1 U2 U1 U2 of centered factors: |estimate| decreases
-    across N and ends within 3 SE of zero."""
+    """Commutator U1 U2 U1^-1 U2^-1 of centered factors: at N = 4, 8, 16, 32
+    each estimate is within 3 SE of the exact Tr((U2 U1)* U1 U2)/N = 1/N^2,
+    and |estimate| strictly decreases.  (U1 U2 U1 U2 has mean 0 by the torus
+    symmetry, so its |estimate| is noise.)  A level leaves 3 SE by chance
+    with probability at most 0.27 % (normal approximation), so at most about
+    1 % of seeds fail falsely; none of seeds 1..40 does, the worst at 2.38 SE.
+    """
     failures: list[str] = []
     factors = [
         FreenessFactor(1, {1: 1.0}),
         FreenessFactor(2, {1: 1.0}),
-        FreenessFactor(1, {1: 1.0}),
-        FreenessFactor(2, {1: 1.0}),
+        FreenessFactor(1, {-1: 1.0}),
+        FreenessFactor(2, {-1: 1.0}),
     ]
     stream = SeededStream(seed, 0)
     report = freeness_diagnostic(factors, [4, 8, 16, 32], 10_000, stream)
+    worst, kind = 0.0, BoundaryKind.polydisc(2)
+    for row in report.rows:
+        mean = pairing_moment_exact(Word((2, 1)), Word((1, 2)), kind, row.N) / row.N
+        delta = row.estimate.delta_in_se(float(mean))
+        worst = max(worst, delta)
+        if delta > 3.0:
+            failures.append(f"N={row.N}: {row.estimate.mean:.3e} is {delta:.2f} SE from {mean}")
     if not report.monotone_decreasing:
         failures.append(f"|means| not decreasing: {[f'{x:.2e}' for x in report.abs_means]}")
-    if not report.final_within_3se:
-        failures.append("final estimate not within 3 SE of zero")
     trend = " > ".join(f"{x:.1e}" for x in report.abs_means)
-    return failures, trend
+    return failures, f"{trend}, worst {worst:.2f} SE"
 
 
 def run_all(seed: int | None = None, only: Sequence[int] | None = None) -> list[CriterionResult]:

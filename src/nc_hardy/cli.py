@@ -18,7 +18,6 @@ from . import acceptance
 from .haar_mc import (
     FreenessFactor,
     FreenessStructureError,
-    MCEstimate,
     SeededStream,
     default_seed,
     freeness_diagnostic,
@@ -316,10 +315,7 @@ def cmd_pairing(
     if engine == "both":
         rows = []
         for cell, mc_cell in zip(exact, sampled):
-            est = MCEstimate(
-                mc_cell.value, mc_cell.std_error, samples, stream.seed,
-                residual=mc_cell.residual, residual_std_error=mc_cell.residual_std_error,
-            )
+            est = mc_cell.estimate
             rows.append(
                 {
                     **_cell_dict(cell),

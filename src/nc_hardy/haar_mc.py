@@ -6,8 +6,8 @@ drawn in fixed-size chunks, each chunk from its own derived substream, and the
 per-chunk partial sums are reduced in chunk order.  Results therefore do not
 depend on the worker count.
 
-Stream plan 4 (``STREAM_PLAN``) draws what plan 3 drew and changes the pairing
-estimator.  All three boundary measures are invariant under the torus action
+Stream plan 4 drew what plan 3 drew and changed the pairing estimator.
+All three boundary measures are invariant under the torus action
 X -> (e^{i t_1} X_1, ..., e^{i t_m} X_m), so Tr(g_b(X)* f_a(X)) has mean 0
 whenever the letter multisets a and b of two words differ (Collins and
 Sniady 2006).  A pairing sample is therefore split by letter multiset
@@ -22,6 +22,12 @@ estimator stays an independent oracle for the exact engine.  On one
 word of length <= 2 with random phases, N = 4), the variance per sample fell
 8 to 206 times, by a geometric mean of 93 (seed 5) and 78 (seed 99).  The
 freeness diagnostic keeps plain averaging.
+
+Stream plan 5 (``STREAM_PLAN``) is plan 4 with one radius: a pairing
+evaluates f and g at one r, so a recovery pairs f with X^w at r and scales
+by r^{-2|w|}, where plan 4 paired it with X^w at radius 1 and scaled by
+r^{-|w|}.  Only w's own stratum enters the value, so the plans differ only
+in rounding, and not at all at r = 1.
 
 Where every stratum's trace is constant, as for a one-word stratum on the
 polydisc (Tr((U^w)* U^w)/N = 1), the stratified value is exact up to
@@ -78,8 +84,7 @@ central moment, merged in chunk order (Chan, Golub and LeVeque 1979), so the
 standard error does not cancel when the integrand concentrates.
 
 A chunk's pairing integrand evaluates f and g in one prefix-trie walk of
-their words (``words._stratum_sums``), and evaluates f once when (g, r_g) is
-(f, r_f).
+their words (``words._stratum_sums``), and evaluates f once when g is f.
 
 A chunk draws its whole block first on both routes, so the stream does not
 see the split, and then runs the rest in sub-batches of S samples, with S
@@ -150,7 +155,7 @@ __all__ = [
 CHUNK_SAMPLES = 4096
 # Bumped whenever the draws, the estimator or the reduction of a fixed seed
 # change.
-STREAM_PLAN = 4
+STREAM_PLAN = 5
 # Per-matrix QR work rows * cols**2 up to which _boundary_batches
 # orthonormalizes by batched Gram-Schmidt rather than LAPACK QR.  Measured per 4096-sample
 # chunk (table in the module docstring): Gram-Schmidt wins or ties at every
@@ -278,6 +283,14 @@ class MCEstimate:
         if residual_chunks is not None:
             _, residual, residual_se = _merge(residual_chunks)
         return cls(mean, se, count, seed, residual=residual, residual_std_error=residual_se)
+
+    def scaled(self, factor: float) -> "MCEstimate":
+        """The estimate of factor times this integrand."""
+        out = replace(self, mean=factor * self.mean, std_error=abs(factor) * self.std_error)
+        if self.residual is None:
+            return out
+        se = abs(factor) * self.residual_std_error
+        return replace(out, residual=factor * self.residual, residual_std_error=se)
 
     def delta_in_se(self, reference: complex) -> float:
         """|mean - reference| in units of std_error (inf if std_error = 0 and they differ)."""
@@ -489,38 +502,13 @@ def _mc_estimate(
     return MCEstimate.from_chunks(mean_chunks, stream.seed, *residual_chunks)  # fixed chunk order
 
 
-def _mc_weighted_pairing(
-    f: NcSeries,
-    g: NcSeries,
-    r_f: float,
-    r_g: float,
-    kind: BoundaryKind,
-    N: int,
-    samples: int,
-    stream: SeededStream | None,
-    workers: int,
-) -> MCEstimate:
-    _check_alphabets(f.m, g.m, kind.m)
-    _check_radius(r_f)
-    stream = stream if stream is not None else default_stream()
-    integrand = partial(_pairing_values, f=f, g=g, r_f=r_f, r_g=r_g)
-    est = _mc_estimate(kind, N, samples, stream, integrand, workers)
-    value_bound, residual_bound = _sample_bounds(f, g, r_f, r_g)
-    ulps = _ROUNDING_ULPS * sys.float_info.epsilon
-    return replace(
-        est,
-        std_error=max(est.std_error, ulps * value_bound),
-        residual_std_error=max(est.residual_std_error, ulps * residual_bound),
-    )
-
-
-def _sample_bounds(f: NcSeries, g: NcSeries, r_f: float, r_g: float) -> tuple[float, float]:
+def _sample_bounds(f: NcSeries, g: NcSeries, r: float) -> tuple[float, float]:
     """Bounds on |value| and |residual| of one pairing sample
-    (``_pairing_values``): sums of |f_v g_w| r_f^|v| r_g^|w| over the word
-    pairs of one stratum and of two different strata.  Each |Tr(X^w* X^v)|/N
-    is at most 1, since every letter of a boundary point is a contraction."""
+    (``_pairing_values``): sums of |f_v g_w| r^(|v| + |w|) over the word pairs
+    of one stratum and of two different strata.  Each |Tr(X^w* X^v)|/N is at
+    most 1, since every letter of a boundary point is a contraction."""
     weights: dict[bytes, list[float]] = {}
-    for k, (h, r) in enumerate(((f, r_f), (g, r_g))):
+    for k, h in enumerate((f, g)):
         for w, c in h.coeffs.items():
             weights.setdefault(_stratum(w), [0.0, 0.0])[k] += abs(c) * r ** len(w)
     value = sum(a * b for a, b in weights.values())
@@ -545,10 +533,8 @@ def _dot(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | float:
     return np.einsum("bk,bk->b", a, b)
 
 
-def _pairing_values(
-    xs: np.ndarray, f: NcSeries, g: NcSeries, r_f: float, r_g: float
-) -> np.ndarray:
-    """(1/N) Tr(g(r_g X)* f(r_f X)) at every batch point, split by letter
+def _pairing_values(xs: np.ndarray, f: NcSeries, g: NcSeries, r: float) -> np.ndarray:
+    """(1/N) Tr(g(rX)* f(rX)) at every batch point, split by letter
     multiset, shape (2, count): row 0 is the stratified value
     sum_a Tr(G_a* F_a) / N and row 1 the symmetry residual
     sum_{a != b} Tr(G_b* F_a) / N, where F_a and G_a are the sums of f's and
@@ -561,16 +547,16 @@ def _pairing_values(
     cross terms of each stratum with the strata before it, never as a
     difference with the whole integrand, so it does not cancel when the
     value is large.  Each trace is a dot product of the flattened matrices,
-    with g's sums conjugated in place.  When (g, r_g) is (f, r_f), f is
-    evaluated once and only real parts are needed, as each cross term comes
-    with its conjugate, so the dot products run on float views, at half the
-    arithmetic, with no conjugated copy and one dot per cross term pair.
+    with g's sums conjugated in place.  When g is f, f is evaluated once and
+    only real parts are needed, as each cross term comes with its conjugate,
+    so the dot products run on float views, at half the arithmetic, with no
+    conjugated copy and one dot per cross term pair.
     """
     count, N = xs.shape[0], xs.shape[2]
-    same = (f, r_f) == (g, r_g)
+    same = f == g
     value, residual = np.zeros(count, complex), np.zeros(count, complex)
     f_run = g_run = None
-    for sums in _stratum_sums(xs, [(f, r_f)] if same else [(f, r_f), (g, r_g)]):
+    for sums in _stratum_sums(xs, [f] if same else [f, g], r):
         fa, ga = sums[0], sums[-1]
         if same:
             fa = ga = fa.reshape(count, -1).view(float)
@@ -597,7 +583,18 @@ def mc_pairing(
     workers: int = 1,
 ) -> MCEstimate:
     """Monte Carlo estimate of the boundary integral of (1/N) Tr(g(rX)* f(rX))."""
-    return _mc_weighted_pairing(f, g, r, r, kind, N, samples, stream, workers)
+    _check_alphabets(f.m, g.m, kind.m)
+    _check_radius(r)
+    stream = stream if stream is not None else default_stream()
+    integrand = partial(_pairing_values, f=f, g=g, r=r)
+    est = _mc_estimate(kind, N, samples, stream, integrand, workers)
+    value_bound, residual_bound = _sample_bounds(f, g, r)
+    ulps = _ROUNDING_ULPS * sys.float_info.epsilon
+    return replace(
+        est,
+        std_error=max(est.std_error, ulps * value_bound),
+        residual_std_error=max(est.residual_std_error, ulps * residual_bound),
+    )
 
 
 def mc_recovery_integral(
@@ -610,9 +607,12 @@ def mc_recovery_integral(
     stream: SeededStream | None = None,
     workers: int = 1,
 ) -> MCEstimate:
-    """Raw coefficient-recovery integral (1/N) Tr((X^w)* f(rX)); no prefactors."""
-    g = NcSeries.monomial(f.m, w)
-    return _mc_weighted_pairing(f, g, r, 1.0, kind, N, samples, stream, workers)
+    """Raw coefficient-recovery integral (1/N) Tr((X^w)* f(rX)), no prefactors:
+    the pairing of f with X^w at radius r times r^{-|w|}, so r != 0 unless w
+    is empty."""
+    scale = 1.0 / r ** len(w)  # raises ZeroDivisionError before any sampling
+    est = mc_pairing(f, NcSeries.monomial(f.m, w), r, kind, N, samples, stream, workers)
+    return est.scaled(scale)
 
 
 class FreenessStructureError(ValueError):

@@ -8,13 +8,14 @@ values carry a standard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .haar_mc import SeededStream, default_stream, mc_pairing, mc_recovery_integral
+from .haar_mc import MCEstimate, SeededStream, default_stream, mc_pairing
+from .haar_mc import mc_recovery_integral  # not called here; perfbench/tracing.py wraps this name
 from .weingarten import (
     BoundaryKind,
     WeingartenTable,
@@ -80,16 +81,22 @@ class SpaceKind:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One evaluated cell of an (r, N) grid; a Monte Carlo pairing or
-    recovery cell also has its symmetry residual (``MCEstimate``)."""
+    """One evaluated cell of an (r, N) grid.  A Monte Carlo cell carries its
+    estimate, whose mean is value, with the standard error and the symmetry
+    residual (``MCEstimate``); an exact cell has none."""
 
     r: float
     N: int
     value: complex
-    std_error: float | None
-    exact: bool
-    residual: complex | None = None
-    residual_std_error: float | None = None
+    estimate: MCEstimate | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.estimate is None
+
+    @property
+    def std_error(self) -> float | None:
+        return None if self.estimate is None else self.estimate.std_error
 
 
 def pairing_grid(
@@ -107,9 +114,9 @@ def pairing_grid(
     """Boundary integrals of (1/N) Tr(g(rX)* f(rX)) over an (r, N) grid.
 
     Cells come in r-major order.  The Monte Carlo engine draws the k-th cell
-    from stream.lane(k), so every cell has its own substream.  The engine and
-    every r and N of the grid and workers are checked before the first cell
-    runs.
+    from stream.lane(k), so every cell has its own substream, and keeps the
+    cell's ``mc_pairing`` estimate.  The engine and every r and N of the grid
+    and workers are checked before the first cell runs.
     """
     _check_engine(engine)
     _check_radius(*r_grid)
@@ -122,17 +129,12 @@ def pairing_grid(
         for n in levels:
             if engine == "exact":
                 value = sesquilinear_moment_exact(f, g, r, boundary, n, table)
-                cells.append(GridCell(r=float(r), N=n, value=value, std_error=None, exact=True))
+                cells.append(GridCell(float(r), n, value))
             else:
                 est = mc_pairing(
                     f, g, r, boundary, n, samples, stream.lane(len(cells)), workers
                 )
-                cells.append(
-                    GridCell(
-                        r=float(r), N=n, value=est.mean, std_error=est.std_error, exact=False,
-                        residual=est.residual, residual_std_error=est.residual_std_error,
-                    )
-                )
+                cells.append(GridCell(float(r), n, est.mean, est))
     return tuple(cells)
 
 
@@ -203,50 +205,36 @@ def coeff_recover(
     with prefactor r^{-|w|} on the polydisc and m^{|w|} r^{-|w|} on the ball.
     The report keeps the whole N-trend; `recovered` is the value at the largest
     N.  Optional single Richardson step assumes an a + b/N^2 trend on the two
-    largest levels.
+    largest levels, so it needs two distinct levels.
 
-    The exact engine reads pairing_grid(f, X^w) at r = 1, times m^{|w|} on the
-    ball: only words v with |v| = |w| pair nontrivially, and on that stratum
-    the r^{|v|} scale cancels the r^{-|w|} prefactor identically, so r never
-    enters the exact route.  Each cell still records the caller's r.  The
-    engine, r, every level and workers are checked before the first cell
-    runs.
+    Both engines read the pairing_grid(f, X^w) cells of the sorted levels at
+    one radius, each times m^{|w|} radius^{-2|w|} on the ball (without m^{|w|}
+    on the polydisc).  Only words v in w's stratum pair nontrivially, and
+    there radius^{|v| + |w|} cancels the scale, so the exact engine runs at
+    radius 1 and the Monte Carlo engine at r.  Each cell records the
+    caller's r.  Every input is checked before the first cell runs, the
+    engine and workers by pairing_grid.
     """
-    _check_engine(engine)
     _check_unit_radius(r)
     _check_grid(N_grid)
     _check_letters(f.m, w)
     _check_alphabets(f.m, kind.m)
     levels = sorted({_check_integer(n, "N", 1) for n in N_grid})
-    _check_integer(workers, "workers", 1)
-    boundary = kind.boundary()
-    prefactor = kind.stratum_divisor(len(w)) / r ** len(w)
-    cells = []
-    if engine == "exact":
-        divisor = kind.stratum_divisor(len(w))
-        monomial = NcSeries.monomial(f.m, w)
-        for cell in pairing_grid(f, monomial, boundary, [1.0], levels, table=table):
-            cells.append(replace(cell, r=r, value=divisor * cell.value))
-    else:
-        stream = stream if stream is not None else default_stream()
-        for pos, n in enumerate(levels):
-            est = mc_recovery_integral(
-                f, w, r, boundary, n, samples, stream.lane(pos), workers
-            )
-            cells.append(
-                GridCell(
-                    r=r,
-                    N=n,
-                    value=prefactor * est.mean,
-                    std_error=abs(prefactor) * est.std_error,
-                    exact=False,
-                    residual=prefactor * est.residual,
-                    residual_std_error=abs(prefactor) * est.residual_std_error,
-                )
-            )
+    if richardson and len(levels) < 2:
+        raise ValueError(f"richardson needs at least two distinct levels N, got {levels}")
+    radius = 1.0 if engine == "exact" else r
+    scale = kind.stratum_divisor(len(w)) / radius ** (2 * len(w))
+    grid = pairing_grid(
+        f, NcSeries.monomial(f.m, w), kind.boundary(), [radius], levels, engine,
+        samples, stream, workers, table,
+    )
+    cells = [
+        GridCell(r, cell.N, scale * cell.value, cell.estimate and cell.estimate.scaled(scale))
+        for cell in grid
+    ]
     recovered = cells[-1].value
     rich = None
-    if richardson and len(cells) >= 2:
+    if richardson:
         n1, v1 = cells[-2].N, cells[-2].value
         n2, v2 = cells[-1].N, cells[-1].value
         rich = (n2 ** 2 * v2 - n1 ** 2 * v1) / (n2 ** 2 - n1 ** 2)

@@ -343,10 +343,10 @@ def _stratum(w: Word) -> bytes:
 
 
 def _stratum_sums(
-    xs: np.ndarray, terms: Sequence[tuple[NcSeries, float]]
+    xs: np.ndarray, series: Sequence[NcSeries], r: float
 ) -> Iterator[list[np.ndarray | None]]:
     """Per stratum, sum_{w in stratum} f_w (rX)^w at every batch point for each
-    (f, r) in terms (None where f has no word in it), in one walk.
+    f in series (None where f has no word in it), in one walk.
 
     A stratum is a letter multiset: the words whose sorted letters agree.
     Every stratum lies within one word length, so strata come out length by
@@ -355,12 +355,12 @@ def _stratum_sums(
     order.
     """
     length, strata = 0, {}
-    for w, prod in _walk_words(xs, {w for f, _ in terms for w in f._coeffs}):
+    for w, prod in _walk_words(xs, {w for f in series for w in f._coeffs}):
         if len(w) > length:
             yield from strata.values()
             length, strata = len(w), {}
-        sums = strata.setdefault(_stratum(w), [None] * len(terms))
-        for k, (f, r) in enumerate(terms):
+        sums = strata.setdefault(_stratum(w), [None] * len(series))
+        for k, f in enumerate(series):
             c = f._coeffs.get(w)
             if c is None:
                 continue

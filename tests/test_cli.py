@@ -75,7 +75,11 @@ GOLDEN = Path(__file__).parent / "golden"
 def _golden_cases() -> dict[str, list[str]]:
     """Output file name -> CLI arguments.  The exact outputs were captured before
     the `pairing` command's own grid loop was replaced by `hardy.pairing_grid`;
-    the Monte Carlo and `both` outputs were captured again under stream plan 3."""
+    the Monte Carlo and `both` outputs were captured again under stream plan 4.
+    Under plan 5 the three `pairing-*-both.json` changed only in their
+    `"stream_plan"`, and the two Monte Carlo recoveries at r = 0.9
+    (`recover-polydisc-mc.json`, `recover-ball-mc.csv`) in their last digits,
+    since a recovery became the pairing with X^w at r scaled by r^{-2|w|}."""
     f, g = str(GOLDEN / "f.json"), str(GOLDEN / "g.json")
     grid = ["--N", "2", "--N", "3", "--r", "0.5", "--r", "1.0"]
     sampled = ["--samples", "2000", "--seed", "7"]
@@ -363,6 +367,16 @@ class TestRecoverCommand:
         data = json.loads(res.stdout)
         assert [row["value_re"] for row in data["rows"]] == [1.25, 1.0625, 1.015625]
         assert data["recovered_re"] == 1.015625
+
+    def test_richardson_with_one_level_is_a_precondition_error(self, run_cli, crossterm_file):
+        for engine in ("exact", "mc"):
+            res = run_cli(
+                "recover", crossterm_file, "--word", "1,2", "--N", "4",
+                "--engine", engine, "--richardson",
+            )
+            assert res.returncode == 2, engine
+            assert res.stdout == ""
+            assert "richardson needs at least two distinct levels" in res.stderr
 
     def test_wrong_length_word_exactly_zero(self, run_cli, crossterm_file):
         res = run_cli("recover", crossterm_file, "--word", "1", "--N", "2", "--N", "4")

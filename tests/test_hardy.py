@@ -101,6 +101,8 @@ class TestRadialPairing:
 
 
 class TestCoeffRecover:
+    F = NcSeries(2, {(): 0.5, (1,): 1.0 - 0.5j, (1, 2): 1.0, (2, 1): -0.75 + 0.3j})
+
     def test_linear_term_exact_everywhere(self):
         f = NcSeries(2, {(1,): 3.0})
         report = coeff_recover(f, Word((1,)), 0.9, SpaceKind.polydisc(2), [1, 2, 4])
@@ -148,6 +150,51 @@ class TestCoeffRecover:
         with pytest.raises(ValueError):
             coeff_recover(CROSSTERM, Word((1,)), 1.5, SpaceKind.polydisc(2), [2])
 
+    def test_richardson_needs_two_levels_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", _no_cell)
+        monkeypatch.setattr("nc_hardy.hardy.mc_pairing", _no_cell)
+        for engine in ("exact", "mc"):
+            for levels in ([4], [4, 4]):
+                with pytest.raises(ValueError, match="richardson needs at least two"):
+                    coeff_recover(
+                        CROSSTERM, Word((1, 2)), 0.9, SpaceKind.polydisc(2), levels, engine,
+                        richardson=True,
+                    )
+
+    @pytest.mark.parametrize("space", [SpaceKind.polydisc(2), SpaceKind.ball(2)])
+    def test_mc_recovery_does_not_depend_on_r(self, space):
+        # only w's own stratum enters the stratified value, where the radius
+        # cancels the r^{-2|w|} scale
+        reports = [
+            coeff_recover(
+                self.F, Word((1, 2)), r, space, [2, 3], "mc", samples=2000,
+                stream=SeededStream(72),
+            )
+            for r in (0.5, 0.9)
+        ]
+        for half, most in zip(*(report.cells for report in reports)):
+            assert abs(half.value - most.value) <= 1e-12 * abs(most.value)
+            assert abs(half.std_error - most.std_error) <= 1e-12 * most.std_error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_recovery_at_unit_radius_is_the_grid_cell_times_the_divisor(self, workers):
+        stream = SeededStream(73)
+        for space in (SpaceKind.polydisc(2), SpaceKind.ball(2)):
+            divisor = space.stratum_divisor(2)
+            report = coeff_recover(
+                self.F, Word((1, 2)), 1.0, space, [3, 2], "mc", samples=2000,
+                stream=stream, workers=workers,
+            )
+            grid = pairing_grid(
+                self.F, NcSeries.monomial(2, (1, 2)), space.boundary(), [1.0], [2, 3], "mc",
+                samples=2000, stream=stream, workers=workers,
+            )
+            for cell, want in zip(report.cells, grid, strict=True):
+                assert (cell.r, cell.N) == (want.r, want.N)
+                assert cell.value == divisor * want.value
+                assert cell.std_error == divisor * want.std_error
+                assert cell.estimate.residual == divisor * want.estimate.residual
+
     def test_invalid_level_rejected_before_any_cell(self, monkeypatch):
         monkeypatch.setattr("nc_hardy.haar_mc._mc_estimate", _no_cell)
         monkeypatch.setattr("nc_hardy.hardy.sesquilinear_moment_exact", _no_cell)
@@ -189,8 +236,8 @@ class TestPairingGrid:
         for k, cell in enumerate(cells):
             est = mc_pairing(self.F, self.G, cell.r, kind, cell.N, 500, stream.lane(k))
             assert not cell.exact
+            assert cell.estimate == est
             assert (cell.value, cell.std_error) == (est.mean, est.std_error)
-            assert (cell.residual, cell.residual_std_error) == (est.residual, est.residual_std_error)
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
